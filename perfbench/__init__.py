@@ -1,0 +1,6 @@
+"""Seeded end-to-end benchmark of the repro platform.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` runs one workload and prints its metrics; see
+``perfbench/README.md`` for the workloads, metrics and layer map.
+"""
