@@ -18,7 +18,7 @@ import pytest
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.query import Query
-from repro.datastore.store import ShardedDataStore
+from repro.datastore.store import DataStore
 from repro.learning.features import SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
 from repro.parallel import ParallelExecutor
@@ -62,16 +62,16 @@ def columns():
 
 @pytest.fixture(scope="module")
 def store(executor, columns):
-    st = ShardedDataStore(n_shards=N_SHARDS, executor=executor)
+    st = DataStore(shards=N_SHARDS, executor=executor)
     st.ingest_packets(columns)
     return st
 
 
 def test_perf_parallel_ingest(benchmark, executor, columns):
     def ingest():
-        st = ShardedDataStore(n_shards=N_SHARDS,
-                              metadata_extractor=MetadataExtractor(),
-                              executor=executor)
+        st = DataStore(shards=N_SHARDS,
+                       metadata_extractor=MetadataExtractor(),
+                       executor=executor)
         return st.ingest_packets(columns)
 
     count = benchmark(ingest)

@@ -1,7 +1,7 @@
 """Tiered-storage performance benchmarks.
 
 Three numbers the tiering work must not regress: sustained ingest
-throughput into a :class:`TieredDataStore` (memtable rollovers and
+throughput into a tiered :class:`DataStore` (memtable rollovers and
 sealing on the hot path), query latency while a compaction is being
 stepped concurrently (the bit-identity guarantee must not cost reads),
 and a cold-tier scan served from the compressed mmap format (the
@@ -13,7 +13,7 @@ import tempfile
 
 import pytest
 
-from repro.datastore import Query, TieredDataStore, TierPolicy
+from repro.datastore import DataStore, Query, TierPolicy
 from repro.netsim.packets import PacketRecord
 
 N_PACKETS = 40_000
@@ -36,8 +36,7 @@ def _packets(n=N_PACKETS):
 
 
 INGEST_PACKETS = _packets(N_PACKETS)
-INGEST_POLICY = TierPolicy(memtable_records=4_096, warm_fanin=4,
-                           warm_max_segments=8, cold_fanin=4)
+INGEST_POLICY = TierPolicy(warm_fanin=4, warm_max_segments=8, cold_fanin=4)
 
 RARE_QUERY = Query(collection="packets", where={"dst_port": 53})
 RARE_MATCHES = N_PACKETS // RARE_EVERY
@@ -47,7 +46,7 @@ SCAN_MATCHES = 10_001     # [10.0, 20.0] inclusive at 1ms spacing
 
 def _ingest_all():
     """One full ingest run: fresh store, every batch, rollovers live."""
-    store = TieredDataStore(policy=INGEST_POLICY)
+    store = DataStore(segment_capacity=4_096, tiers=INGEST_POLICY)
     for start in range(0, N_PACKETS, BATCH):
         store.ingest_packets(INGEST_PACKETS[start:start + BATCH])
     return store
@@ -63,9 +62,8 @@ def test_perf_tiers_ingest(benchmark):
 @pytest.fixture(scope="module")
 def compacting_store():
     """A store with standing compaction debt: many small sealed runs."""
-    policy = TierPolicy(memtable_records=1_024, warm_fanin=4,
-                        warm_max_segments=64, cold_fanin=4)
-    store = TieredDataStore(policy=policy)
+    policy = TierPolicy(warm_fanin=4, warm_max_segments=64, cold_fanin=4)
+    store = DataStore(segment_capacity=1_024, tiers=policy)
     for start in range(0, N_PACKETS, BATCH):
         store.ingest_packets(INGEST_PACKETS[start:start + BATCH])
     store.seal_hot()
@@ -94,9 +92,8 @@ def test_perf_tiers_query_under_compaction(benchmark, compacting_store):
 def cold_store():
     """Everything spilled and merged down to the mmap-backed cold tier."""
     tmp = tempfile.mkdtemp(prefix="bench-tiers-cold-")
-    policy = TierPolicy(memtable_records=8_192, warm_fanin=4,
-                        warm_max_segments=1, cold_fanin=4)
-    store = TieredDataStore(policy=policy, spill_dir=tmp)
+    policy = TierPolicy(warm_fanin=4, warm_max_segments=1, cold_fanin=4)
+    store = DataStore(segment_capacity=8_192, tiers=policy, spill_dir=tmp)
     for start in range(0, N_PACKETS, BATCH):
         store.ingest_packets(INGEST_PACKETS[start:start + BATCH])
     store.flush_to_cold()

@@ -54,9 +54,14 @@ class CaptureStats:
 
     @property
     def loss_rate(self) -> float:
+        """Share of offered packets that never reached the store:
+        capacity drops plus ingest-queue backpressure drops.  (Injected
+        tap faults act before the appliance is offered a packet; see
+        :attr:`fault_drop_rate`.)"""
         if self.packets_offered == 0:
             return 0.0
-        return self.packets_dropped / self.packets_offered
+        return (self.packets_dropped + self.packets_backpressure_dropped) \
+            / self.packets_offered
 
     @property
     def byte_loss_rate(self) -> float:

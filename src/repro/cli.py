@@ -460,19 +460,13 @@ def cmd_run_day(args) -> int:
 def _reopen_tiered(spill: str):
     """Reopen a spill directory written by ``repro ingest``.
 
-    A sharded run leaves ``shard-<i>`` subdirectories under the root;
-    a single-store run leaves ``registry.json`` at the root.  Either
-    way reopening verifies every cold segment's checksums.
+    The store reads the shard count from the directory (``shard-<i>``
+    subdirectories, or one ``registry.json`` at the root) and verifies
+    every cold segment's checksums.
     """
-    from repro.datastore.tiers import TieredDataStore, \
-        TieredShardedDataStore
+    from repro.datastore import DataStore, TierPolicy
 
-    root = Path(spill)
-    shard_dirs = sorted(root.glob("shard-*"))
-    if shard_dirs:
-        return TieredShardedDataStore(n_shards=len(shard_dirs),
-                                      spill_dir=root)
-    return TieredDataStore(spill_dir=root)
+    return DataStore(tiers=TierPolicy(), spill_dir=spill)
 
 
 def _emit_tier_summary(summary: dict, as_json: bool,
@@ -525,13 +519,11 @@ def _cmd_ingest_fluid(args) -> int:
         return 2
     from repro.capture.engine import CaptureEngine
     from repro.capture.metadata import MetadataExtractor
-    from repro.datastore.tiers import StreamingIngestor, TieredDataStore, \
-        TierPolicy
+    from repro.datastore import DataStore, StreamingIngestor, TierPolicy
 
-    store = TieredDataStore(
-        metadata_extractor=MetadataExtractor(),
-        policy=TierPolicy(memtable_records=args.memtable),
-        spill_dir=args.spill)
+    store = DataStore(metadata_extractor=MetadataExtractor(),
+                      segment_capacity=args.memtable, tiers=TierPolicy(),
+                      spill_dir=args.spill)
     if args.privacy != "none":
         from repro.privacy import PrivacyLevel, PrivacyPolicy, \
             make_ingest_transform

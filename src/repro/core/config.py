@@ -29,9 +29,8 @@ class PlatformConfig:
     enable_sensors:
         Attach server-log / firewall / config sensors.
     store_shards:
-        Data-store shard count; >1 builds a
-        :class:`~repro.datastore.store.ShardedDataStore` partitioned by
-        time window x flow hash.
+        Data-store shard count (``DataStore(shards=...)``); >1
+        partitions packets by time window x flow hash.
     workers:
         Worker processes for the parallel substrate; 0 = serial
         everywhere (the default, and the automatic fallback wherever
@@ -42,18 +41,19 @@ class PlatformConfig:
         default: the disabled path constructs nothing and instrumented
         code pays one ``is not None`` check.
     streaming:
-        Put the packet collection on the tier ladder: capture batches
-        flow through a bounded :class:`~repro.datastore.tiers.
-        IngestQueue` into a :class:`~repro.datastore.tiers.
-        TieredDataStore` (hot memtable → sealed warm runs → cold
-        mmap segments), with queue-full refusals charged back into the
-        capture engine's loss accounting instead of vanishing.
+        Put the packet collection on the tier ladder
+        (``DataStore(tiers=TierPolicy(), spill_dir=...)``: hot
+        memtable → sealed warm runs → cold mmap segments, per shard):
+        capture batches flow through a bounded
+        :class:`~repro.datastore.tiers.IngestQueue`, with queue-full
+        refusals charged back into the capture engine's loss
+        accounting instead of vanishing.
     streaming_queue_records:
         Ingest-queue capacity in records; a batch that would push the
         queue past this is refused whole (backpressure, accounted).
     streaming_memtable_records:
-        Hot-tier memtable size; a full memtable seals into a sorted
-        warm run.
+        Hot-tier memtable size (the store's ``segment_capacity`` when
+        streaming); a full memtable seals into a sorted warm run.
     streaming_spill_dir:
         Directory for the cold tier's mmap segments and the crash-safe
         ``registry.json``; ``None`` keeps every tier in memory.

@@ -27,9 +27,8 @@ from repro.chaos.resilience import DegradationLedger, TransientError, \
 from repro.core.config import PlatformConfig
 from repro.core.eventbus import EventBus
 from repro.datastore.labels import Labeler
-from repro.datastore.store import DataStore, ShardedDataStore
-from repro.datastore.tiers import StreamingIngestor, TieredDataStore, \
-    TieredShardedDataStore, TierPolicy
+from repro.datastore.store import DataStore
+from repro.datastore.tiers import StreamingIngestor, TierPolicy
 from repro.events.base import GroundTruth
 from repro.events.scenario import Scenario, run_scenario
 from repro.learning.dataset import Dataset
@@ -87,41 +86,17 @@ class CampusPlatform:
             workers=self.config.workers, ledger=self.degradation,
             fault_injector=fault_injector, obs=obs)
         extractor = MetadataExtractor(self.network.topology)
-        if self.config.streaming:
-            policy = TierPolicy(
-                memtable_records=self.config.streaming_memtable_records)
-            if self.config.store_shards > 1:
-                self.store = TieredShardedDataStore(
-                    n_shards=self.config.store_shards,
-                    metadata_extractor=extractor,
-                    fault_injector=fault_injector,
-                    window_s=self.config.window_s,
-                    executor=self.executor, obs=obs, policy=policy,
-                    spill_dir=self.config.streaming_spill_dir,
-                )
-            else:
-                self.store = TieredDataStore(
-                    metadata_extractor=extractor, policy=policy,
-                    spill_dir=self.config.streaming_spill_dir,
-                    fault_injector=fault_injector, obs=obs,
-                )
-        elif self.config.store_shards > 1:
-            self.store = ShardedDataStore(
-                n_shards=self.config.store_shards,
-                metadata_extractor=extractor,
-                segment_capacity=self.config.segment_capacity,
-                fault_injector=fault_injector,
-                window_s=self.config.window_s,
-                executor=self.executor,
-                obs=obs,
-            )
-        else:
-            self.store = DataStore(
-                metadata_extractor=extractor,
-                segment_capacity=self.config.segment_capacity,
-                fault_injector=fault_injector,
-                obs=obs,
-            )
+        streaming = self.config.streaming
+        self.store = DataStore(
+            metadata_extractor=extractor,
+            segment_capacity=self.config.streaming_memtable_records
+            if streaming else self.config.segment_capacity,
+            shards=self.config.store_shards,
+            tiers=TierPolicy() if streaming else None,
+            spill_dir=self.config.streaming_spill_dir if streaming else None,
+            window_s=self.config.window_s, executor=self.executor,
+            fault_injector=fault_injector, obs=obs,
+        )
         self.store.add_ingest_transform(make_ingest_transform(
             self.privacy_policy, self.network.topology.is_internal_ip,
         ))
@@ -140,7 +115,7 @@ class CampusPlatform:
             capacity_gbps=self.config.capture_capacity_gbps,
             buffer_bytes=self.config.capture_buffer_bytes,
             fault_injector=self.fault_injector,
-            shard_router=getattr(self.store, "router", None),
+            shard_router=self.store.router,
             obs=self.obs)
         links = [network.topology.border_link]
         if self.config.monitor_internal:
@@ -316,10 +291,10 @@ class CampusPlatform:
                 "queue_rejected": self.ingestor.queue.rejected_records,
                 "ingested": self.ingestor.ingested_records,
             }
-        if self.config.workers or getattr(self.store, "shards", None):
+        if self.config.workers or self.store.n_shards > 1:
             out["parallel"] = {
                 **self.executor.summary(),
-                "shards": getattr(self.store, "n_shards", 1),
+                "shards": self.store.n_shards,
             }
         if self.obs is not None:
             out["obs"] = {

@@ -5,9 +5,12 @@ mining, and visualizing network data, a university network's data
 store ... becomes the single source of all campus network-related
 data."  This subpackage implements that platform:
 
-* :mod:`repro.datastore.store` — the :class:`DataStore` itself:
-  append-only segmented collections for packets, flow records, and
-  sensor logs.
+* :mod:`repro.datastore.store` — the one :class:`DataStore`:
+  segmented collections for packets, flow records, and sensor logs.
+  ``DataStore(shards=..., tiers=..., spill_dir=...)`` picks the
+  layout — packets partitioned by time window x flow hash, on the
+  hot/warm/cold tier ladder, with the cold tier persisted — and every
+  layout answers queries bit-identically.
 * :mod:`repro.datastore.segments` — sealed segments with local indexes.
 * :mod:`repro.datastore.index` — time, hash, and inverted tag indexes.
 * :mod:`repro.datastore.query` — the query engine (index-accelerated
@@ -20,9 +23,9 @@ data."  This subpackage implements that platform:
 * :mod:`repro.datastore.linking` — cross-source record linking
   (packets <-> flows <-> logs), the "linked and indexed" property.
 * :mod:`repro.datastore.retention` — retention policy enforcement.
-* :mod:`repro.datastore.tiers` — streaming ingestion, tiered storage
-  (hot memtable → warm sealed segments → compressed cold mmap), and
-  the background compactor.
+* :mod:`repro.datastore.tiers` — the tier ladder's parts: the tier
+  policy, streaming ingestion through a bounded queue, the cold mmap
+  segment format, and the stepped compactor.
 """
 
 from repro.datastore.store import DataStore, StoredRecord
@@ -35,7 +38,7 @@ from repro.datastore.retention import RetentionPolicy, RetentionReport
 from repro.datastore.persistence import export_store, import_store, \
     PersistenceError
 from repro.datastore.tiers import ColdSegment, Compactor, IngestQueue, \
-    StreamingIngestor, TieredDataStore, TieredShardedDataStore, TierPolicy
+    StreamingIngestor, TierPolicy
 
 __all__ = [
     "export_store",
@@ -56,8 +59,6 @@ __all__ = [
     "RetentionPolicy",
     "RetentionReport",
     "TierPolicy",
-    "TieredDataStore",
-    "TieredShardedDataStore",
     "ColdSegment",
     "Compactor",
     "IngestQueue",

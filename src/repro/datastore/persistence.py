@@ -24,14 +24,17 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.capture.flows import FlowRecord
 from repro.capture.pcapng import read_packets, write_packets
 from repro.capture.sensors import LogRecord
 from repro.chaos.faults import FaultKind, TornWriteError
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore
+
+if TYPE_CHECKING:
+    # the store imports the cold format, which imports this module
+    from repro.datastore.store import DataStore
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -168,6 +171,8 @@ def import_store(directory: Union[str, Path],
     used for packets missing saved tags).  File checksums from the
     manifest are verified before any record is loaded.
     """
+    from repro.datastore.store import DataStore
+
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():

@@ -1,9 +1,9 @@
 """Cost-based query planning over a shared QueryPlan IR.
 
-Every executor — linear-equivalent serial, vectorized, sharded, and
-the approximate sketch path — now consumes one plan shape instead of
-re-deriving control flow per query.  A plan is a small tree of logical
-ops:
+The exact executor — serial or process-parallel, over any store
+layout — and the approximate sketch path consume one plan shape
+instead of re-deriving control flow per query.  A plan is a small
+tree of logical ops:
 
 * **SegmentPrune** — a segment ruled out before any scan: empty, out
   of the time range, provably value-free (exact map / Bloom from the
@@ -19,8 +19,9 @@ ops:
 * **SketchAnswer** — a COUNT / DISTINCT / heavy-hitter aggregate
   short-circuited to the stats sketches, behind an
   :class:`ErrorBudget` with exact fallback.
-* **Merge** — the cross-segment combine: the serial time-sort, or the
-  sharded ``(time, rid)`` merge.
+* **Merge** — the cross-segment combine into ``(time, rid)`` order
+  (``rid`` order for unordered queries), by the cheapest sort the
+  scanned runs allow.
 
 The cost model runs entirely on the per-segment
 :class:`~repro.datastore.stats.SegmentStats` blocks (built at seal
@@ -42,13 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.datastore import schema as schemas
 from repro.datastore.query import (
-    _RID_KEY,
     _TIME_KEY,
-    _TIME_RID_KEY,
     Query,
     _columnar_scan,
     _observe_query,
@@ -56,6 +56,8 @@ from repro.datastore.query import (
     _scan_segment,
 )
 from repro.datastore.stats import HLL_P, HLL_REL_BOUND, stat_key
+
+_RID_ATTR = attrgetter("rid")
 
 #: engage gathered predicate evaluation when the leading predicate's
 #: estimated selectivity is at or below this fraction...
@@ -320,11 +322,9 @@ def _shard_allowed_ids(store, query: Query) -> Optional[set]:
     recompute each window's shard — every matching packet must have
     routed to one of those shards at ingest.
     """
-    router = getattr(store, "router", None)
-    shards = getattr(store, "shards", None)
-    if router is None or shards is None or query.collection != "packets":
-        return None
-    if getattr(router, "n_shards", 1) <= 1 or query.time_range is None:
+    router = store.router
+    if router is None or query.collection != "packets" \
+            or query.time_range is None:
         return None
     where = query.where
     if not all(f in where for f in ("src_ip", "dst_ip", "src_port",
@@ -348,7 +348,7 @@ def _shard_allowed_ids(store, query: Query) -> Optional[set]:
         return None
     allowed: set = set()
     for shard_id in candidates:
-        for segment in shards[shard_id]._segments["packets"]:
+        for segment in store._shards[shard_id]:
             allowed.add(id(segment))
     return allowed
 
@@ -390,32 +390,94 @@ def _scan_planned(sp: SegmentPlan, query: Query):
     return pairs, ordered, False
 
 
-def _scan_contributing(contributing: List[SegmentPlan], query: Query):
+def _scan_runs(contributing: List[SegmentPlan], query: Query, executor):
+    """``([(pairs, came-out-ordered, segment), ...], all-columnar)``
+    for the segments that yielded rows, in segment order."""
+    if executor is not None and executor.parallel:
+        runs = _parallel_runs(contributing, query, executor)
+        if runs is not None:
+            return runs, True
     runs = []
     columnar = True
     for sp in contributing:
-        scanned = _scan_planned(sp, query)
-        columnar = columnar and scanned[2]
-        sp.actual_rows = len(scanned[0])
-        if scanned[0]:
-            runs.append(scanned)
+        pairs, ordered, seg_columnar = _scan_planned(sp, query)
+        columnar = columnar and seg_columnar
+        sp.actual_rows = len(pairs)
+        if pairs:
+            runs.append((pairs, ordered, sp.segment))
     return runs, columnar
 
 
+def _parallel_runs(contributing: List[SegmentPlan], query: Query,
+                   executor):
+    """Planned scatter: workers get each segment's ordered predicate
+    sequence and gather choice and return positions; None when the
+    kernel is ineligible."""
+    from repro.parallel.kernels import scatter_query
+    orders = {sp.segment.segment_id: (sp.where_items, sp.gather)
+              for sp in contributing}
+    scattered = scatter_query([sp.segment for sp in contributing], query,
+                              executor, segment_orders=orders)
+    if scattered is None:
+        return None
+    by_identity = {id(sp.segment): sp for sp in contributing}
+    runs = []
+    for segment, positions in scattered:
+        sp = by_identity.get(id(segment))
+        if sp is not None:
+            sp.actual_rows = len(positions)
+        if not len(positions):
+            continue
+        cols = segment.columns()
+        pairs = list(zip(cols.timestamp[positions].tolist(),
+                         map(segment.records.__getitem__,
+                             positions.tolist())))
+        runs.append((pairs, cols.time_sorted, segment))
+    return runs
+
+
+def _pair_rid(pair) -> int:
+    return pair[1].rid
+
+
+def _rid_disjoint(runs) -> bool:
+    """Whether each run's segment holds only rids above the previous
+    run's segment's (true of every unsharded store)."""
+    spans = [segment.rid_span() for _, _, segment in runs]
+    return all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+
+
 def _merge_runs(runs, query: Query) -> List:
+    """Combine per-segment runs into ``(time, rid)`` order (``rid``
+    order when the query is unordered).
+
+    Every segment keeps equal-time rows in rid order (append order,
+    or the ``(time, rid)`` sort of a sealed tier), so when the runs'
+    rid ranges are disjoint and ascending, a stable sort on time alone
+    already yields ``(time, rid)`` order — several times cheaper than
+    a tuple key.  Runs from different shards interleave their rids and
+    are sorted by rid first.
+    """
     if not runs:
         return []
-    if len(runs) == 1:
-        # Single contributing segment: skip the global re-sort when its
-        # scan already came out time-ordered.
-        results = runs[0][0]
-        if query.order_by_time and not runs[0][1]:
-            results.sort(key=_TIME_KEY)
+    if query.order_by_time:
+        if len(runs) == 1:
+            pairs, ordered, _ = runs[0]
+            if not ordered:
+                pairs.sort(key=_TIME_KEY)
+        else:
+            pairs = [pair for run, _, _ in runs for pair in run]
+            if not _rid_disjoint(runs):
+                # rid first, then a stable time sort: (time, rid) order
+                # without building a key tuple per row
+                pairs.sort(key=_pair_rid)
+            pairs.sort(key=_TIME_KEY)
+        records = [stored for _, stored in pairs]
     else:
-        results = [pair for pairs, _, _ in runs for pair in pairs]
-        if query.order_by_time:
-            results.sort(key=_TIME_KEY)
-    records = [stored for _, stored in results]
+        records = [stored for run, _, _ in runs for _, stored in run]
+        if not (_rid_disjoint(runs)
+                and all(segment.rid_span()[2] for _, _, segment in runs)):
+            records.sort(key=_RID_ATTR)
     if query.limit is not None:
         records = records[: query.limit]
     return records
@@ -437,85 +499,32 @@ def _observe_plan(obs, plan: QueryPlan) -> None:
         plan.root.actual_rows or 0)
 
 
-def execute_plan(store, plan: QueryPlan, obs=None) -> List:
-    """Serial planned execution; bit-identical to the linear oracle."""
+def execute_plan(store, plan: QueryPlan, executor=None, obs=None) -> List:
+    """Planned execution over any store layout; bit-identical to the
+    linear oracle.
+
+    Scans each contributing segment (in worker processes when an
+    eligible ``executor`` is supplied), then merges the runs into
+    global ``(time, rid)`` order — the order a flat store fed the same
+    batches returns.
+    """
     query = plan.query
     contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
     if obs is None:
-        runs, _ = _scan_contributing(contributing, query)
+        runs, _ = _scan_runs(contributing, query, executor)
         records = _merge_runs(runs, query)
         plan.root.actual_rows = len(records)
         return records
     started = obs.clock.now()
     with obs.span("query.plan.scan", collection=query.collection,
                   segments=len(contributing)) as span:
-        runs, columnar = _scan_contributing(contributing, query)
+        runs, columnar = _scan_runs(contributing, query, executor)
         span.set(runs=len(runs))
     with obs.span("query.plan.merge", runs=len(runs)):
         records = _merge_runs(runs, query)
     plan.root.actual_rows = len(records)
     _observe_plan(obs, plan)
     _observe_query(obs, started, len(records), columnar)
-    return records
-
-
-def _parallel_plan_triples(contributing: List[SegmentPlan], query: Query,
-                           executor):
-    """Planned scatter: workers get each segment's ordered predicate
-    sequence and gather choice; None when the kernel is ineligible."""
-    from repro.parallel.kernels import scatter_query
-    orders = {sp.segment.segment_id: (sp.where_items, sp.gather)
-              for sp in contributing}
-    scattered = scatter_query([sp.segment for sp in contributing], query,
-                              executor, segment_orders=orders)
-    if scattered is None:
-        return None
-    by_identity = {id(sp.segment): sp for sp in contributing}
-    triples: List[Tuple[float, int, object]] = []
-    for segment, positions in scattered:
-        sp = by_identity.get(id(segment))
-        if sp is not None:
-            sp.actual_rows = len(positions)
-        records = segment.records
-        ts = segment.columns().timestamp
-        for p in positions.tolist():
-            stored = records[p]
-            triples.append((float(ts[p]), stored.rid, stored))
-    return triples
-
-
-def execute_plan_sharded(store, plan: QueryPlan, executor=None,
-                         obs=None) -> List:
-    """Planned execution with the deterministic ``(time, rid)`` merge.
-
-    Scans each contributing segment (in worker processes when an
-    eligible ``executor`` is supplied) and reconstructs global batch
-    input order — bit-identical to :func:`execute_plan` on a serial
-    store fed the same batches.
-    """
-    query = plan.query
-    contributing = [sp for sp in plan.segment_plans if sp.pruned is None]
-    if obs is not None:
-        started = obs.clock.now()
-    columnar = True
-    triples = None
-    if executor is not None and executor.parallel:
-        triples = _parallel_plan_triples(contributing, query, executor)
-    if triples is None:
-        triples = []
-        for sp in contributing:
-            pairs, _, seg_columnar = _scan_planned(sp, query)
-            columnar = columnar and seg_columnar
-            sp.actual_rows = len(pairs)
-            triples.extend((t, stored.rid, stored) for t, stored in pairs)
-    triples.sort(key=_TIME_RID_KEY if query.order_by_time else _RID_KEY)
-    records = [stored for _, _, stored in triples]
-    if query.limit is not None:
-        records = records[: query.limit]
-    plan.root.actual_rows = len(records)
-    if obs is not None:
-        _observe_plan(obs, plan)
-        _observe_query(obs, started, len(records), columnar)
     return records
 
 

@@ -331,17 +331,19 @@ def _observe_query(obs, started: float, rows: int, columnar: bool) -> None:
     obs.metrics.counter("repro_store_query_rows_total", path=path).inc(rows)
 
 
-def execute_query(store, query: Query, obs=None) -> List:
+def execute_query(store, query: Query, executor=None, obs=None) -> List:
     """Run ``query`` against ``store`` (accelerated, time-ordered).
 
-    Plans first — stats pruning, selectivity-ordered predicates,
-    gather decisions — then executes the plan; see
+    Plans first — stats pruning, shard pruning, selectivity-ordered
+    predicates, gather decisions — then executes the plan (scanning in
+    ``executor``'s worker processes when it has any); see
     :mod:`repro.datastore.planner`.  A store without stats plans into
     exactly the pre-planner scan, so this stays bit-identical to
     :func:`execute_query_linear` either way.
     """
     from repro.datastore.planner import execute_plan, plan_query
-    return execute_plan(store, plan_query(store, query), obs=obs)
+    return execute_plan(store, plan_query(store, query), executor=executor,
+                        obs=obs)
 
 
 def execute_query_linear(store, query: Query) -> List:
@@ -365,30 +367,6 @@ def execute_query_linear(store, query: Query) -> List:
     return records
 
 
-_RID_KEY = itemgetter(1)
-_TIME_RID_KEY = itemgetter(0, 1)
-
-
-def execute_query_sharded(store, query: Query, executor=None,
-                          obs=None) -> List:
-    """Run ``query`` across every shard with a deterministic merge.
-
-    Scans each contributing segment (in worker processes when an
-    eligible ``executor`` is supplied), then merges on ``(time, rid)``
-    — or bare ``rid`` for unordered queries.  Because a sharded store
-    assigns rids in batch input order, this reconstructs exactly the
-    order an unsharded store would return: the results are bit-identical
-    to :func:`execute_query` on a serial store fed the same batches.
-
-    Planning happens first (see :mod:`repro.datastore.planner`): on a
-    sharded store, a fully keyed flow query prunes whole shards before
-    the scatter using the router's exact window enumeration.
-    """
-    from repro.datastore.planner import execute_plan_sharded, plan_query
-    return execute_plan_sharded(store, plan_query(store, query),
-                                executor=executor, obs=obs)
-
-
 _REDUCERS = {
     "sum": sum,
     "count": len,
@@ -407,8 +385,6 @@ def execute_aggregate(store, query: Query, aggregation: Aggregation) -> Dict:
         )
     groups: Dict[object, List[float]] = {}
     value_fn = aggregation.value_fn or (lambda stored: 1.0)
-    # store.query (not execute_query directly): a sharded store routes
-    # through its deterministic cross-shard merge.
     for stored in store.query(query):
         key = aggregation.key_fn(stored)
         groups.setdefault(key, []).append(value_fn(stored))

@@ -9,12 +9,39 @@ never touch an index never pay for one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.datastore.index import HashIndex, InvertedIndex, TimeIndex
 from repro.datastore.schema import CollectionSchema
 from repro.netsim.packets import PacketColumns
+
+
+@dataclass
+class StoredRecord:
+    """A record plus store-side annotations (tags, curated label)."""
+
+    __slots__ = ("rid", "record", "tags", "label")
+
+    rid: int
+    record: object
+    tags: Dict[str, str]
+    label: Optional[str]
+
+
+#: ``(lowest rid, highest rid, rids ascend with position)``
+RidSpan = Tuple[int, int, bool]
+
+
+def rid_span(rids: np.ndarray) -> Optional[RidSpan]:
+    """The :data:`RidSpan` of a non-empty rid array (None when empty)."""
+    if not len(rids):
+        return None
+    return (int(rids.min()), int(rids.max()),
+            bool(np.all(rids[1:] > rids[:-1])))
 
 
 class Segment:
@@ -48,6 +75,8 @@ class Segment:
         self._columns_len = -1
         self._stats = None
         self._stats_rows = -1
+        self._rid_span: Optional[RidSpan] = None
+        self._rid_span_rows = 0
 
     @property
     def full(self) -> bool:
@@ -203,6 +232,17 @@ class Segment:
                 self._columns = None
             self._columns_len = n
         return self._columns
+
+    def rid_span(self) -> Optional[RidSpan]:
+        """Where this segment's rids lie (cached by row count, like the
+        column block).  The query merge reads it to tell whether runs
+        from several segments combine by a stable time sort alone."""
+        n = len(self.records)
+        if self._rid_span_rows != n:
+            self._rid_span = rid_span(np.fromiter(
+                (s.rid for s in self.records), dtype=np.int64, count=n))
+            self._rid_span_rows = n
+        return self._rid_span
 
     # -- time span ----------------------------------------------------------
 

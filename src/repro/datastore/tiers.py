@@ -3,30 +3,35 @@
 The paper's platform promises *continuous* campus-scale capture, which
 batch ``ingest_packets`` alone cannot honor: a store that only grows
 in RAM neither absorbs sustained pressure nor outlives the process.
-This module adds an LSM-flavored tier ladder behind the existing
-planner/executors:
+A :class:`~repro.datastore.store.DataStore` built with
+``tiers=TierPolicy(...)`` puts its packet collection on an
+LSM-flavored tier ladder; this module holds the ladder's parts:
 
 * **hot** — one unsealed write-optimized :class:`Segment` (the
-  memtable) per store; appends are list-extends, nothing else.
+  memtable, ``segment_capacity`` records) per shard; appends are
+  list-extends, nothing else.
 * **warm** — sealed, ``(time, rid)``-sorted in-memory segments with
   columnar mirrors and (optionally) planner stats.
 * **cold** — compressed on-disk segment directories opened with
-  ``numpy`` memory maps, so a store bigger than RAM stays queryable
-  without faulting whole segments in.
+  ``numpy`` memory maps (:class:`ColdSegment`), so a store bigger than
+  RAM stays queryable without faulting whole segments in.  With
+  ``spill_dir`` set, a one-shard store keeps them (and its
+  ``registry.json``) at the root; shard ``i`` of a sharded store keeps
+  them under ``shard-<i>/``.
 
 All three tiers satisfy the same *SegmentSource* duck type the planner
-and executors already consume (``records``, ``columns()``, ``stats()``,
-``min_time``/``max_time``/``overlaps``, ``schema``, ``segment_id``),
-so queries treat a half-compacted store exactly like a quiesced one.
-Bit-identity with a flat store holds because rids are assigned in
-global ingest order and every tiered query goes through the
-deterministic ``(time, rid)`` merge
-(:func:`~repro.datastore.planner.execute_plan_sharded`), which is the
-same order a flat store's stable time-sort produces.
+and executor already consume (``records``, ``columns()``, ``stats()``,
+``min_time``/``max_time``/``overlaps``, ``rid_span()``, ``schema``,
+``segment_id``), so queries treat a half-compacted store exactly like a
+quiesced one.  Bit-identity with a flat store holds because rids are
+assigned in global ingest order and the one executor
+(:func:`~repro.datastore.planner.execute_plan`) merges runs into
+``(time, rid)`` order, the order a flat store's stable time-sort
+produces.
 
 Compaction is a *stepped* state machine, not a thread: callers (the
 CLI loop, tests, a platform tick) invoke :meth:`Compactor.step`, and
-every disk-touching op reuses the PR 3 crash-atomicity protocol —
+every disk-touching op follows one crash-atomicity protocol —
 write into a ``*.tmp-<pid>`` directory, ``os.replace`` into place,
 commit by atomically rewriting ``registry.json``; per-file SHA-256
 checksums are verified on reopen.  A crash at *any* injectable step
@@ -41,7 +46,6 @@ record count; a refused batch is charged to the capture engine's
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import shutil
@@ -55,10 +59,10 @@ import numpy as np
 from repro.chaos.faults import CompactorCrashError, FaultKind
 from repro.datastore import schema as schemas
 from repro.datastore.persistence import PersistenceError, _sha256
-from repro.datastore.segments import Segment
+from repro.datastore.segments import RidSpan, Segment, StoredRecord, \
+    rid_span
 from repro.datastore.stats import ColumnStats, SegmentStats, \
     merge_column_stats
-from repro.datastore.store import DataStore, ShardedDataStore, StoredRecord
 from repro.netsim.packets import _STRING_FIELDS, NUMERIC_FIELDS, \
     DictColumn, PacketColumns, u32_to_ip
 
@@ -81,23 +85,20 @@ def _counter_value(counter) -> int:
 class TierPolicy:
     """Knobs for the tier ladder.
 
-    ``memtable_records`` bounds the hot tier (the seal size);
-    ``seal_age_s`` additionally seals a non-full memtable once it has
-    been open that long on the store's clock.  ``warm_fanin`` warm
+    The store's ``segment_capacity`` bounds the hot tier (the seal
+    size); ``seal_age_s`` additionally seals a non-full memtable once
+    it has been open that long on the store's clock.  ``warm_fanin`` warm
     segments merge into one; more than ``warm_max_segments`` warm
     segments spill the oldest to disk (when a spill dir is
     configured); ``cold_fanin`` cold segments merge into one.
     """
 
-    memtable_records: int = 4096
     seal_age_s: Optional[float] = None
     warm_fanin: int = 4
     warm_max_segments: int = 8
     cold_fanin: int = 4
 
     def __post_init__(self):
-        if self.memtable_records <= 0:
-            raise ValueError("memtable_records must be positive")
         if self.seal_age_s is not None and self.seal_age_s <= 0:
             raise ValueError("seal_age_s must be positive (or None)")
         if self.warm_fanin < 2:
@@ -387,6 +388,7 @@ class ColdSegment:
         self._records: Optional[_ColdRecords] = None
         self._stats: Optional[SegmentStats] = None
         self._stats_loaded = False
+        self._rid_span: Optional[RidSpan] = None
 
     # -- integrity ----------------------------------------------------------
 
@@ -421,6 +423,11 @@ class ColdSegment:
             self._meta = _BlobColumn(self.directory / "meta.bin",
                                      self._load("meta.off.npy"))
         return self._meta
+
+    def rid_span(self) -> Optional[RidSpan]:
+        if self._rid_span is None:
+            self._rid_span = rid_span(self.rids)
+        return self._rid_span
 
     @property
     def records(self) -> _ColdRecords:
@@ -573,6 +580,76 @@ def _merged_stats(inputs: List) -> Optional[SegmentStats]:
     return SegmentStats(n=sum(part.n for part in parts), columns=columns)
 
 
+# -- cold directories --------------------------------------------------------
+
+
+def spilled_shards(spill_dir: Path) -> Optional[int]:
+    """How many shards wrote ``spill_dir``: one per ``shard-<i>``
+    subdirectory, or 1 for a root ``registry.json``; None when nothing
+    has been written there yet."""
+    if not spill_dir.is_dir():
+        return None
+    shard_dirs = [p for p in spill_dir.glob("shard-*") if p.is_dir()]
+    if shard_dirs:
+        return len(shard_dirs)
+    return 1 if (spill_dir / REGISTRY_NAME).exists() else None
+
+
+def write_registry(directory: Path, dirs: List[str], segment_ids,
+                   record_ids) -> None:
+    """Atomically commit one cold directory's membership (the commit
+    point of every disk-touching compaction op), with the store's id
+    counters as the watermarks a reopen resumes from."""
+    payload = {
+        "format_version": COLD_FORMAT_VERSION,
+        "segments": list(dirs),
+        "next_segment_id": _counter_value(segment_ids),
+        "next_record_id": _counter_value(record_ids),
+    }
+    tmp = directory / f"{REGISTRY_NAME}.tmp-{os.getpid()}"
+    tmp.write_text(json.dumps(payload, indent=2))
+    os.replace(tmp, directory / REGISTRY_NAME)
+
+
+def open_cold_dir(directory: Path) \
+        -> Tuple[List[ColdSegment], Optional[Tuple[int, int]]]:
+    """Reopen one cold directory.
+
+    Clears debris from crashed compactions, verifies every registered
+    segment's checksums, and returns the segments in registry order
+    plus the registry's ``(next_segment_id, next_record_id)`` — None
+    when no registry has been committed yet.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    registry_path = directory / REGISTRY_NAME
+    registered: List[str] = []
+    payload = None
+    if registry_path.exists():
+        payload = json.loads(registry_path.read_text())
+        if payload.get("format_version") != COLD_FORMAT_VERSION:
+            raise PersistenceError(
+                "unsupported registry format "
+                f"{payload.get('format_version')}")
+        registered = list(payload["segments"])
+    keep = set(registered)
+    for entry in sorted(directory.iterdir()):
+        if entry.name == REGISTRY_NAME:
+            continue
+        if entry.is_dir() and entry.name not in keep:
+            shutil.rmtree(entry)          # crashed-compaction debris
+        elif entry.is_file():
+            entry.unlink()                # torn registry tmp file
+    if payload is None:
+        return [], None
+    cold: List[ColdSegment] = []
+    for name in registered:
+        segment = ColdSegment(directory / name)
+        segment.verify_checksums()
+        cold.append(segment)
+    return cold, (int(payload["next_segment_id"]),
+                  int(payload["next_record_id"]))
+
+
 # -- ingest queue ------------------------------------------------------------
 
 
@@ -661,9 +738,8 @@ class StreamingIngestor:
         self.store = store
         self.engine = engine
         self.queue = queue if queue is not None else IngestQueue(
-            queue_records,
-            fault_injector=getattr(store, "fault_injector", None),
-            obs=obs if obs is not None else getattr(store, "obs", None))
+            queue_records, fault_injector=store.fault_injector,
+            obs=obs if obs is not None else store.obs)
         self.ingested_records = 0
         if engine is not None:
             engine.subscribe(self)
@@ -685,11 +761,10 @@ class StreamingIngestor:
 
     def drain(self, compact: bool = True) -> int:
         moved = self.pump()
-        compactor = getattr(self.store, "compactor", None)
-        if compact and compactor is not None:
+        if compact:
             # run() is bounded per call; a long day can owe more than
             # one round's worth, and drain promises debt-free.
-            while compactor.run():
+            while self.store.compactor.run():
                 pass
         return moved
 
@@ -698,16 +773,19 @@ class StreamingIngestor:
 
 
 class Compactor:
-    """Stepped background compaction for one :class:`TieredDataStore`.
+    """Stepped background compaction for a tiered
+    :class:`~repro.datastore.store.DataStore`.
 
     Threadless and deterministic: :meth:`debt` lists the ops the
     policy currently owes, :meth:`step` executes exactly one, and the
-    segment list only changes *between* steps — which is what lets the
+    segment lists only change *between* steps — which is what lets the
     equivalence suite interleave queries with a live compaction and
-    still demand bit-identical answers.
+    still demand bit-identical answers.  Every op works inside one
+    shard: its inputs, its output and its cold directory all belong to
+    that shard.  A store without tiers owes nothing.
     """
 
-    def __init__(self, store: "TieredDataStore"):
+    def __init__(self, store):
         self.store = store
         self.completed: Dict[str, int] = {}
 
@@ -718,35 +796,43 @@ class Compactor:
             raise CompactorCrashError(
                 f"injected compactor crash at {step}")
 
-    def debt(self) -> List[Tuple[str, List]]:
-        """Owed ops, most urgent first: merge warm runs, spill the
-        oldest warm segment past the cap, merge small cold segments."""
+    def _owed(self) -> List[Tuple[int, str, List]]:
+        """``(shard, kind, inputs)`` per owed op; shard by shard, each
+        shard's most urgent first: merge warm runs, spill the oldest
+        warm segment past the cap, merge small cold segments."""
         store = self.store
-        policy = store.policy
-        _, warm, cold = store.tier_segments()
-        ops: List[Tuple[str, List]] = []
-        if len(warm) >= policy.warm_fanin:
-            ops.append(("warm-merge", warm[:policy.warm_fanin]))
-        if store.spill_dir is not None \
-                and len(warm) > policy.warm_max_segments:
-            ops.append(("spill", [warm[0]]))
-        if store.spill_dir is not None and len(cold) >= policy.cold_fanin:
-            ops.append(("cold-merge", cold[:policy.cold_fanin]))
+        policy = store.tiers
+        if policy is None:
+            return []
+        spills = store.spill_dir is not None
+        ops: List[Tuple[int, str, List]] = []
+        for shard in range(store.n_shards):
+            _, warm, cold = store.tier_segments(shard)
+            if len(warm) >= policy.warm_fanin:
+                ops.append((shard, "warm-merge", warm[:policy.warm_fanin]))
+            if spills and len(warm) > policy.warm_max_segments:
+                ops.append((shard, "spill", [warm[0]]))
+            if spills and len(cold) >= policy.cold_fanin:
+                ops.append((shard, "cold-merge", cold[:policy.cold_fanin]))
         return ops
+
+    def debt(self) -> List[Tuple[str, List]]:
+        """Owed ``(kind, inputs)`` ops, the next one to run first."""
+        return [(kind, inputs) for _, kind, inputs in self._owed()]
 
     def step(self) -> Optional[str]:
         """Execute the most urgent owed op; None when debt-free."""
-        ops = self.debt()
+        ops = self._owed()
         if not ops:
             return None
-        kind, inputs = ops[0]
+        shard, kind, inputs = ops[0]
         obs = self.store.obs
         if obs is None:
-            self._dispatch(kind, inputs)
+            self._dispatch(shard, kind, inputs)
         else:
             with obs.span("store.tiers.compact", op=kind,
                           inputs=len(inputs)):
-                self._dispatch(kind, inputs)
+                self._dispatch(shard, kind, inputs)
         self.completed[kind] = self.completed.get(kind, 0) + 1
         self.store._update_tier_gauges()
         return kind
@@ -761,19 +847,19 @@ class Compactor:
             done.append(kind)
         return done
 
-    def _dispatch(self, kind: str, inputs: List) -> None:
+    def _dispatch(self, shard: int, kind: str, inputs: List) -> None:
         if kind == "warm-merge":
-            self._warm_merge(inputs)
+            self._warm_merge(shard, inputs)
         elif kind == "spill":
-            self._spill(inputs[0])
+            self._spill(shard, inputs[0])
         else:
-            self._cold_merge(inputs)
+            self._cold_merge(shard, inputs)
 
-    def _splice(self, inputs: List, replacement) -> None:
+    def _splice(self, shard: int, inputs: List, replacement) -> None:
         """Replace ``inputs`` with ``replacement`` at the first input's
         position — one assignment, so queries between steps never see
         a half-applied compaction."""
-        segments = self.store._segments["packets"]
+        segments = self.store._shards[shard]
         drop = {id(segment) for segment in inputs[1:]}
         first = inputs[0]
         segments[:] = [
@@ -783,7 +869,7 @@ class Compactor:
 
     # -- ops ----------------------------------------------------------------
 
-    def _warm_merge(self, inputs: List[Segment]) -> None:
+    def _warm_merge(self, shard: int, inputs: List[Segment]) -> None:
         """Merge small warm runs into one sorted warm segment (RAM
         only — crash-safe because nothing is published until the final
         list splice)."""
@@ -804,9 +890,9 @@ class Compactor:
         if stats is not None:
             merged.adopt_stats(stats)
         self._chaos_step("warm-merge:apply")
-        self._splice(inputs, merged)
+        self._splice(shard, inputs, merged)
 
-    def _spill(self, segment: Segment) -> None:
+    def _spill(self, shard: int, segment: Segment) -> None:
         """Age one warm segment into the cold on-disk format.
 
         Crash-atomic: data lands in a tmp dir, ``os.replace`` promotes
@@ -816,9 +902,10 @@ class Compactor:
         """
         store = self.store
         self._chaos_step("spill:plan")
+        directory = store._cold_dirs[shard]
         name = f"seg-{segment.segment_id:08d}"
-        target = store.spill_dir / name
-        tmp = store.spill_dir / f"{name}.tmp-{os.getpid()}"
+        target = directory / name
+        tmp = directory / f"{name}.tmp-{os.getpid()}"
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
@@ -838,12 +925,13 @@ class Compactor:
             shutil.rmtree(target)   # unregistered leftover of a past crash
         os.replace(tmp, target)
         self._chaos_step("spill:registry")
-        _, _, cold = store.tier_segments()
-        store._write_registry([c.directory.name for c in cold] + [name])
+        _, _, cold = store.tier_segments(shard)
+        store._write_registry(shard,
+                              [c.directory.name for c in cold] + [name])
         self._chaos_step("spill:apply")
-        self._splice([segment], ColdSegment(target))
+        self._splice(shard, [segment], ColdSegment(target))
 
-    def _cold_merge(self, inputs: List[ColdSegment]) -> None:
+    def _cold_merge(self, shard: int, inputs: List[ColdSegment]) -> None:
         """Merge small cold segments into one larger one.
 
         Same commit protocol as :meth:`_spill`; the registry rewrite
@@ -854,10 +942,11 @@ class Compactor:
         """
         store = self.store
         self._chaos_step("cold-merge:plan")
+        directory = store._cold_dirs[shard]
         segment_id = next(store._segment_ids)
         name = f"seg-{segment_id:08d}"
-        target = store.spill_dir / name
-        tmp = store.spill_dir / f"{name}.tmp-{os.getpid()}"
+        target = directory / name
+        tmp = directory / f"{name}.tmp-{os.getpid()}"
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
@@ -877,394 +966,16 @@ class Compactor:
         os.replace(tmp, target)
         self._chaos_step("cold-merge:registry")
         merged_ids = {id(segment) for segment in inputs}
-        _, _, cold = store.tier_segments()
+        _, _, cold = store.tier_segments(shard)
         dirs: List[str] = []
         for segment in cold:
             if segment is inputs[0]:
                 dirs.append(name)
             elif id(segment) not in merged_ids:
                 dirs.append(segment.directory.name)
-        store._write_registry(dirs)
+        store._write_registry(shard, dirs)
         self._chaos_step("cold-merge:apply")
-        self._splice(inputs, ColdSegment(target))
+        self._splice(shard, inputs, ColdSegment(target))
         self._chaos_step("cold-merge:cleanup")
         for segment in inputs:
             shutil.rmtree(segment.directory, ignore_errors=True)
-
-
-# -- the tiered store --------------------------------------------------------
-
-
-class TieredDataStore(DataStore):
-    """A :class:`DataStore` whose packet collection lives on the tier
-    ladder.  Flows and logs keep the flat behaviour (low volume).
-
-    With a ``spill_dir`` the store resumes from an existing
-    ``registry.json`` on construction: cold segments are reopened with
-    verified checksums, id counters continue past the registry's
-    watermarks, and debris from crashed compactions is cleared.
-    """
-
-    def __init__(self, metadata_extractor=None,
-                 policy: Optional[TierPolicy] = None, spill_dir=None,
-                 fault_injector=None, clock=None, obs=None,
-                 stats_on_seal: bool = False):
-        self.policy = policy if policy is not None else TierPolicy()
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._memtable_opened_at: Optional[float] = None
-        self.resume_next_ids: Optional[Tuple[int, int]] = None
-        super().__init__(metadata_extractor=metadata_extractor,
-                         segment_capacity=self.policy.memtable_records,
-                         fault_injector=fault_injector, clock=clock,
-                         obs=obs, stats_on_seal=stats_on_seal)
-        self.compactor = Compactor(self)
-        if self.spill_dir is not None:
-            self._resume_from_disk()
-
-    # -- tiers --------------------------------------------------------------
-
-    def tier_segments(self) -> Tuple[List, List, List]:
-        """(hot, warm, cold) views of the packet segment list."""
-        hot: List = []
-        warm: List = []
-        cold: List = []
-        for segment in self._segments["packets"]:
-            if isinstance(segment, ColdSegment):
-                cold.append(segment)
-            elif segment.sealed:
-                warm.append(segment)
-            else:
-                hot.append(segment)
-        return hot, warm, cold
-
-    def tier_summary(self) -> Dict[str, Dict]:
-        hot, warm, cold = self.tier_segments()
-        out = {
-            tier: {"segments": len(group),
-                   "records": sum(len(s) for s in group),
-                   "bytes": sum(s.bytes_estimate for s in group)}
-            for tier, group in (("hot", hot), ("warm", warm),
-                                ("cold", cold))
-        }
-        out["compaction_debt"] = len(self.compactor.debt())
-        return out
-
-    # -- sealing ------------------------------------------------------------
-
-    def _memtable_aged(self) -> bool:
-        age = self.policy.seal_age_s
-        return (age is not None and self._memtable_opened_at is not None
-                and self.clock.now() - self._memtable_opened_at >= age)
-
-    def _open_segment(self, collection: str) -> Segment:
-        if collection != "packets":
-            return super()._open_segment(collection)
-        segments = self._segments["packets"]
-        tail = segments[-1] if segments else None
-        if isinstance(tail, Segment) and not tail.sealed:
-            if not tail.full and not self._memtable_aged():
-                return tail
-            self.seal_hot()
-        segment = Segment(schemas.SCHEMAS["packets"],
-                          next(self._segment_ids),
-                          capacity=self.policy.memtable_records)
-        segments.append(segment)
-        self._memtable_opened_at = self.clock.now()
-        return segment
-
-    def seal_hot(self) -> Optional[Segment]:
-        """Seal the memtable into a ``(time, rid)``-sorted warm segment.
-
-        Within a memtable rids increase with append position, so a
-        stable argsort on timestamp alone *is* the (time, rid) order.
-        The sorted replacement is swapped in with one list assignment.
-        """
-        segments = self._segments["packets"]
-        if not segments:
-            return None
-        memtable = segments[-1]
-        if not isinstance(memtable, Segment) or memtable.sealed \
-                or not memtable.records:
-            return None
-        cols = memtable.columns()
-        n = len(memtable.records)
-        sealed = Segment(memtable.schema, memtable.segment_id,
-                         capacity=max(n, 1))
-        if cols is not None:
-            order = np.argsort(np.asarray(cols.timestamp), kind="stable")
-            sealed.append_batch(
-                [memtable.records[i] for i in order.tolist()])
-            sealed.adopt_columns(cols.take(order))
-        else:
-            time_of = memtable.schema.time_of
-            ordered = sorted(memtable.records,
-                             key=lambda s: (time_of(s.record), s.rid))
-            sealed.append_batch(ordered)
-        sealed.seal(build_stats=self.stats_on_seal)
-        segments[-1] = sealed
-        self._memtable_opened_at = None
-        if self.obs is not None:
-            self._m_seals.inc()
-        self._update_tier_gauges()
-        return sealed
-
-    def maybe_seal(self) -> bool:
-        """Seal a full or aged memtable without waiting for ingest."""
-        segments = self._segments["packets"]
-        tail = segments[-1] if segments else None
-        if isinstance(tail, Segment) and not tail.sealed and tail.records \
-                and (tail.full or self._memtable_aged()):
-            return self.seal_hot() is not None
-        return False
-
-    # -- queries ------------------------------------------------------------
-
-    def query(self, query):
-        """Tiered queries always go through the deterministic
-        ``(time, rid)`` merge: segment regrouping by compaction then
-        cannot perturb tie order, so answers stay bit-identical to a
-        flat store fed the same batches."""
-        from repro.datastore.planner import execute_plan_sharded, plan_query
-        obs = self.obs
-        if obs is None:
-            return execute_plan_sharded(self, plan_query(self, query))
-        with obs.span("store.query", collection=query.collection) as span:
-            records = execute_plan_sharded(self, plan_query(self, query),
-                                           obs=obs)
-            span.set(rows=len(records))
-        return records
-
-    # -- persistence --------------------------------------------------------
-
-    def _write_registry(self, dirs: List[str]) -> None:
-        """Atomically commit the cold-tier membership (the commit point
-        of every disk-touching compaction op)."""
-        if self.spill_dir is None:
-            return
-        payload = {
-            "format_version": COLD_FORMAT_VERSION,
-            "segments": list(dirs),
-            "next_segment_id": _counter_value(self._segment_ids),
-            "next_record_id": _counter_value(self._record_ids),
-        }
-        tmp = self.spill_dir / f"{REGISTRY_NAME}.tmp-{os.getpid()}"
-        tmp.write_text(json.dumps(payload, indent=2))
-        os.replace(tmp, self.spill_dir / REGISTRY_NAME)
-
-    def _resume_from_disk(self) -> None:
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        registry_path = self.spill_dir / REGISTRY_NAME
-        registered: List[str] = []
-        payload = None
-        if registry_path.exists():
-            payload = json.loads(registry_path.read_text())
-            if payload.get("format_version") != COLD_FORMAT_VERSION:
-                raise PersistenceError(
-                    "unsupported registry format "
-                    f"{payload.get('format_version')}")
-            registered = list(payload["segments"])
-        keep = set(registered)
-        for entry in sorted(self.spill_dir.iterdir()):
-            if entry.name == REGISTRY_NAME:
-                continue
-            if entry.is_dir() and entry.name not in keep:
-                shutil.rmtree(entry)          # crashed-compaction debris
-            elif entry.is_file():
-                entry.unlink()                # torn registry tmp file
-        if payload is None:
-            return
-        cold: List[ColdSegment] = []
-        for name in registered:
-            segment = ColdSegment(self.spill_dir / name)
-            segment.verify_checksums()
-            cold.append(segment)
-        self._segments["packets"][:0] = cold
-        self._segment_ids = itertools.count(int(payload["next_segment_id"]))
-        self._record_ids = itertools.count(int(payload["next_record_id"]))
-        self.resume_next_ids = (int(payload["next_segment_id"]),
-                                int(payload["next_record_id"]))
-        self._update_tier_gauges()
-
-    def flush_to_cold(self) -> int:
-        """Seal the memtable and spill every warm segment to disk (the
-        shutdown path: a reopened store then holds every record)."""
-        if self.spill_dir is None:
-            raise ValueError("flush_to_cold requires a spill_dir")
-        self.seal_hot()
-        flushed = 0
-        while True:
-            _, warm, _ = self.tier_segments()
-            if not warm:
-                break
-            self.compactor._spill(warm[0])
-            flushed += 1
-        self._update_tier_gauges()
-        return flushed
-
-    # -- retention ----------------------------------------------------------
-
-    def evict_segment(self, collection: str, segment) -> None:
-        if not isinstance(segment, ColdSegment):
-            super().evict_segment(collection, segment)
-            return
-        segments = self._segments["packets"]
-        segments.remove(segment)
-        _, _, cold = self.tier_segments()
-        self._write_registry([c.directory.name for c in cold])
-        shutil.rmtree(segment.directory, ignore_errors=True)
-        self._update_tier_gauges()
-
-    # -- obs ----------------------------------------------------------------
-
-    def bind_obs(self, obs) -> None:
-        super().bind_obs(obs)
-        tiers = ("hot", "warm", "cold")
-        self._m_tier_segments = {
-            tier: obs.metrics.gauge("repro_tiers_segments", tier=tier)
-            for tier in tiers}
-        self._m_tier_bytes = {
-            tier: obs.metrics.gauge("repro_tiers_bytes", tier=tier)
-            for tier in tiers}
-        self._m_debt = obs.metrics.gauge("repro_tiers_compaction_debt")
-        self._m_seals = obs.metrics.counter("repro_tiers_seals_total")
-
-    def _update_tier_gauges(self) -> None:
-        if self.obs is None:
-            return
-        hot, warm, cold = self.tier_segments()
-        for tier, group in (("hot", hot), ("warm", warm), ("cold", cold)):
-            self._m_tier_segments[tier].set(len(group))
-            self._m_tier_bytes[tier].set(
-                sum(s.bytes_estimate for s in group))
-        compactor = getattr(self, "compactor", None)
-        if compactor is not None:
-            self._m_debt.set(len(compactor.debt()))
-
-
-# -- sharded tiering ---------------------------------------------------------
-
-
-class _ShardedCompactor:
-    """Facade over the per-shard compactors: same debt/step/run
-    surface, stepping whichever shard owes work first."""
-
-    def __init__(self, store: "TieredShardedDataStore"):
-        self.store = store
-
-    def debt(self) -> List[Tuple[str, List]]:
-        return [op for shard in self.store.shards
-                for op in shard.compactor.debt()]
-
-    def step(self) -> Optional[str]:
-        for shard in self.store.shards:
-            kind = shard.compactor.step()
-            if kind is not None:
-                return kind
-        return None
-
-    def run(self, max_steps: int = 256) -> List[str]:
-        done: List[str] = []
-        while len(done) < max_steps:
-            kind = self.step()
-            if kind is None:
-                break
-            done.append(kind)
-        return done
-
-
-class TieredShardedDataStore(ShardedDataStore):
-    """Time×flow-hash sharding where every shard is tiered.
-
-    Each shard owns its own memtable, warm runs, compactor, and (under
-    ``spill_dir``) a ``shard-<i>`` cold directory.  Rids still come
-    from the parent's counter in input order, so the inherited
-    ``(time, rid)`` sharded merge keeps answers bit-identical to a
-    flat store regardless of per-shard compaction progress.
-    """
-
-    def __init__(self, n_shards: int, metadata_extractor=None,
-                 fault_injector=None, clock=None, window_s: float = 5.0,
-                 executor=None, obs=None, stats_on_seal: bool = False,
-                 policy: Optional[TierPolicy] = None, spill_dir=None):
-        self.policy = policy if policy is not None else TierPolicy()
-        self.spill_root = Path(spill_dir) if spill_dir is not None else None
-        super().__init__(n_shards, metadata_extractor=metadata_extractor,
-                         segment_capacity=self.policy.memtable_records,
-                         fault_injector=fault_injector, clock=clock,
-                         window_s=window_s, executor=executor, obs=obs,
-                         stats_on_seal=stats_on_seal)
-        self.compactor = _ShardedCompactor(self)
-        # Shards that resumed from disk had their id counters replaced
-        # by the parent's shared ones; restart the shared counters past
-        # every shard's registry watermark so ids never collide.
-        floors = [shard.resume_next_ids for shard in self.shards
-                  if shard.resume_next_ids is not None]
-        if floors:
-            segment_floor = max(max(f[0] for f in floors),
-                                _counter_value(self._segment_ids))
-            record_floor = max(max(f[1] for f in floors),
-                               _counter_value(self._record_ids))
-            self._segment_ids = itertools.count(segment_floor)
-            self._record_ids = itertools.count(record_floor)
-            for shard in self.shards:
-                shard._segment_ids = self._segment_ids
-                shard._record_ids = self._record_ids
-
-    def _make_shard(self, index: int) -> TieredDataStore:
-        spill = None if self.spill_root is None \
-            else self.spill_root / f"shard-{index}"
-        return TieredDataStore(metadata_extractor=None, policy=self.policy,
-                               spill_dir=spill,
-                               fault_injector=self.fault_injector,
-                               clock=self.clock,
-                               stats_on_seal=self.stats_on_seal)
-
-    @property
-    def spill_dir(self):
-        return self.spill_root
-
-    def tier_segments(self) -> Tuple[List, List, List]:
-        hot: List = []
-        warm: List = []
-        cold: List = []
-        for shard in self.shards:
-            h, w, c = shard.tier_segments()
-            hot.extend(h)
-            warm.extend(w)
-            cold.extend(c)
-        return hot, warm, cold
-
-    def tier_summary(self) -> Dict[str, Dict]:
-        hot, warm, cold = self.tier_segments()
-        out = {
-            tier: {"segments": len(group),
-                   "records": sum(len(s) for s in group),
-                   "bytes": sum(s.bytes_estimate for s in group)}
-            for tier, group in (("hot", hot), ("warm", warm),
-                                ("cold", cold))
-        }
-        out["compaction_debt"] = len(self.compactor.debt())
-        return out
-
-    def seal_hot(self) -> int:
-        return sum(1 for shard in self.shards
-                   if shard.seal_hot() is not None)
-
-    def maybe_seal(self) -> int:
-        return sum(1 for shard in self.shards if shard.maybe_seal())
-
-    def flush_to_cold(self) -> int:
-        if self.spill_root is None:
-            raise ValueError("flush_to_cold requires a spill_dir")
-        return sum(shard.flush_to_cold() for shard in self.shards)
-
-    def evict_segment(self, collection: str, segment) -> None:
-        if not isinstance(segment, ColdSegment):
-            super().evict_segment(collection, segment)
-            return
-        for shard in self.shards:
-            if any(candidate is segment
-                   for candidate in shard._segments["packets"]):
-                shard.evict_segment(collection, segment)
-                return
-        raise ValueError("segment not held by any shard")

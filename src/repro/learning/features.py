@@ -431,7 +431,7 @@ class SourceWindowFeaturizer:
         per segment (in worker processes when possible) and merges on
         global record ids; it too is bit-identical to the serial paths.
         """
-        if getattr(store, "shards", None) is not None or (
+        if store.n_shards > 1 or (
                 executor is not None and executor.parallel):
             examples = self.examples_merged(store, time_range,
                                             executor=executor)

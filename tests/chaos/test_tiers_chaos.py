@@ -18,16 +18,14 @@ from repro.chaos.faults import (
 )
 from repro.datastore.query import Query
 from repro.datastore.store import DataStore
-from repro.datastore.tiers import (
-    StreamingIngestor, TieredDataStore, TierPolicy,
-)
+from repro.datastore.tiers import StreamingIngestor, TierPolicy
 from repro.netsim.packets import PacketRecord
 
 #: forces all three op kinds: one warm merge (fan-in 4 over the six
 #: sealed runs), spills past the warm cap, and a cold merge once two
 #: cold segments exist.
-POLICY = TierPolicy(memtable_records=8, warm_fanin=4,
-                    warm_max_segments=1, cold_fanin=2)
+POLICY = TierPolicy(warm_fanin=4, warm_max_segments=1, cold_fanin=2)
+MEMTABLE = 8
 
 #: every step the compactor can die at (checked exhaustive below).
 EXPECTED_STEPS = {
@@ -63,8 +61,8 @@ def _dump(store):
 
 
 def _build(spill_dir, injector=None):
-    store = TieredDataStore(policy=POLICY, spill_dir=spill_dir,
-                            fault_injector=injector)
+    store = DataStore(segment_capacity=MEMTABLE, tiers=POLICY,
+                      spill_dir=spill_dir, fault_injector=injector)
     flat = DataStore()
     for batch in _workload():
         store.ingest_packets(batch)
@@ -112,7 +110,8 @@ def test_compactor_crash_at_every_step_loses_nothing(tmp_path):
         # crash debris, and the live store may still reference it)
         snapshot = tmp_path / f"snap-{k}"
         shutil.copytree(spill, snapshot)
-        reopened = TieredDataStore(policy=POLICY, spill_dir=snapshot)
+        reopened = DataStore(segment_capacity=MEMTABLE, tiers=POLICY,
+                             spill_dir=snapshot)
         flat_by_rid = {row[0]: row for row in _dump(flat)}
         for row in _dump(reopened):
             assert row == flat_by_rid[row[0]]
@@ -127,7 +126,8 @@ def test_compactor_crash_at_every_step_loses_nothing(tmp_path):
         # answers still bit-identical
         store.flush_to_cold()
         store.compactor.run()
-        final = TieredDataStore(policy=POLICY, spill_dir=spill)
+        final = DataStore(segment_capacity=MEMTABLE, tiers=POLICY,
+                          spill_dir=spill)
         assert _dump(final) == _dump(flat)
     # the sweep visited every injectable step the compactor defines
     assert steps_hit == EXPECTED_STEPS
@@ -155,7 +155,8 @@ def test_queue_stall_backpressure_is_accounted(tmp_path):
         FaultSpec(kind=FaultKind.QUEUE_STALL, rate=1.0, limit=1),))
     injector = plan.injector()
     engine = CaptureEngine()
-    store = TieredDataStore(policy=POLICY, fault_injector=injector)
+    store = DataStore(segment_capacity=MEMTABLE, tiers=POLICY,
+                      fault_injector=injector)
     ingestor = StreamingIngestor(store, engine=engine,
                                  queue_records=10_000)
     batch = [_packet(i * 0.01, i) for i in range(20)]

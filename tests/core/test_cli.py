@@ -41,6 +41,28 @@ def test_ingest_streams_flushes_and_reopens(tmp_path, capsys):
     assert summary["compaction_debt"] == 0
 
 
+def test_ingest_sharded_streams_flushes_and_reopens(tmp_path, capsys):
+    """A sharded spill directory reopens with its shard count read from
+    disk, and every record the queue accepted is back in cold."""
+    spill = tmp_path / "tiers"
+    code = main([
+        "ingest", "--profile", "tiny", "--seed", "3",
+        "--duration", "60", "--attack", "scan", "--shards", "2",
+        "--spill", str(spill), "--memtable", "1024", "--flush-cold",
+        "--json",
+    ])
+    assert code == 0
+    ingested = json.loads(capsys.readouterr().out)
+    assert sorted(p.name for p in spill.iterdir()) == ["shard-0", "shard-1"]
+
+    assert main(["ingest", "--spill", str(spill),
+                 "--summary-only", "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["hot"]["records"] == 0
+    assert summary["warm"]["records"] == 0
+    assert summary["cold"]["records"] == ingested["queue_accepted"] > 100
+
+
 def test_ingest_summary_only_requires_spill(capsys):
     assert main(["ingest", "--summary-only"]) == 2
     assert "--spill" in capsys.readouterr().err

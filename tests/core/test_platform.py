@@ -90,8 +90,6 @@ def test_sensors_can_be_disabled():
 def test_streaming_platform_tiers_and_matches_flat(tmp_path):
     """streaming=True routes capture through the bounded queue into a
     tiered store — and answers exactly what the flat platform stores."""
-    from repro.datastore.tiers import TieredDataStore
-
     scenario = attack_day_scenario(duration_s=60.0)
     flat = CampusPlatform(PlatformConfig(campus_profile="tiny", seed=4))
     flat.collect(scenario, seed=4)
@@ -101,7 +99,7 @@ def test_streaming_platform_tiers_and_matches_flat(tmp_path):
         streaming_memtable_records=256,
         streaming_spill_dir=str(tmp_path / "tiers")))
     result = platform.collect(scenario, seed=4)
-    assert isinstance(platform.store, TieredDataStore)
+    assert platform.store.tier_summary() is not None
     assert platform.ingestor.ingested_records == result.packets_captured
     assert platform.store.compactor.debt() == []
 
@@ -120,3 +118,22 @@ def test_streaming_platform_tiers_and_matches_flat(tmp_path):
     assert summary["tiers"]["hot"]["records"] + \
         summary["tiers"]["warm"]["records"] + \
         summary["tiers"]["cold"]["records"] == result.packets_captured
+
+
+def test_streaming_loss_rate_counts_backpressure():
+    """A queue far smaller than the day refuses most captured batches:
+    the loss rate must count those refusals, and every captured packet
+    is either stored or refused."""
+    from repro.events.library import ddos_day
+
+    platform = CampusPlatform(PlatformConfig(
+        campus_profile="tiny", streaming=True,
+        streaming_queue_records=2048))
+    result = platform.collect(ddos_day(60.0))
+    stats = platform.capture.stats
+    assert stats.packets_backpressure_dropped > 0
+    assert result.capture_loss_rate == (
+        stats.packets_dropped + stats.packets_backpressure_dropped
+    ) / stats.packets_offered
+    assert stats.packets_captured == platform.store.count("packets") \
+        + stats.packets_backpressure_dropped

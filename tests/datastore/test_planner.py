@@ -17,7 +17,7 @@ from repro.datastore.planner import (
     within,
 )
 from repro.datastore.query import Query, execute_query, execute_query_linear
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.store import DataStore
 from repro.netsim.packets import PacketRecord
 
 
@@ -159,8 +159,8 @@ class TestStatsPruning:
 
 class TestShardPruning:
     def _sharded(self, packets, n_shards=4):
-        store = ShardedDataStore(
-            n_shards=n_shards, metadata_extractor=MetadataExtractor(),
+        store = DataStore(
+            shards=n_shards, metadata_extractor=MetadataExtractor(),
             segment_capacity=30, window_s=5.0)
         store.ingest_packets(packets)
         return store

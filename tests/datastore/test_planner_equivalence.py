@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.planner import within
 from repro.datastore.query import Query, execute_query, execute_query_linear
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.store import DataStore
 from repro.netsim.packets import PacketRecord
 
 WINDOW_S = 5.0
@@ -144,9 +144,9 @@ def test_dict_encoded_segments_match_linear_scan(packets, query):
 def test_sharded_planned_execution_matches_serial(packets, n_shards,
                                                   query):
     serial = _planned_store(packets, capacity=64)
-    sharded = ShardedDataStore(n_shards=n_shards,
-                               metadata_extractor=MetadataExtractor(),
-                               segment_capacity=64, window_s=WINDOW_S)
+    sharded = DataStore(shards=n_shards,
+                        metadata_extractor=MetadataExtractor(),
+                        segment_capacity=64, window_s=WINDOW_S)
     sharded.ingest_packets(list(packets))
     sharded.build_stats()
     assert [s.rid for s in sharded.query(query)] == \
@@ -161,9 +161,9 @@ def test_sharded_planned_execution_matches_serial(packets, n_shards,
 def test_shard_pruned_execution_matches_serial(packets, n_shards, query):
     """Full-5-tuple queries (pre-scatter shard pruning) stay exact."""
     serial = _planned_store(packets, capacity=64)
-    sharded = ShardedDataStore(n_shards=n_shards,
-                               metadata_extractor=MetadataExtractor(),
-                               segment_capacity=64, window_s=WINDOW_S)
+    sharded = DataStore(shards=n_shards,
+                        metadata_extractor=MetadataExtractor(),
+                        segment_capacity=64, window_s=WINDOW_S)
     sharded.ingest_packets(list(packets))
     sharded.build_stats()
     assert [s.rid for s in sharded.query(query)] == \

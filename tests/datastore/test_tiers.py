@@ -10,8 +10,8 @@ from repro.chaos.resilience import VirtualClock
 from repro.datastore import DataStore, PersistenceError, Query
 from repro.datastore.stats import SegmentStats
 from repro.datastore.tiers import (
-    ColdSegment, IngestQueue, StreamingIngestor, TieredDataStore,
-    TieredShardedDataStore, TierPolicy, _stats_from_json, _stats_to_json,
+    ColdSegment, IngestQueue, StreamingIngestor, TierPolicy,
+    _stats_from_json, _stats_to_json,
 )
 from repro.netsim.packets import PacketRecord
 
@@ -39,14 +39,15 @@ def _dump(store):
              dict(s.tags), s.label) for s in result]
 
 
-SMALL = TierPolicy(memtable_records=16, warm_fanin=2,
-                   warm_max_segments=2, cold_fanin=2)
+SMALL = TierPolicy(warm_fanin=2, warm_max_segments=2, cold_fanin=2)
+#: the memtable size SMALL stores run with
+SMALL_MEMTABLE = 16
 
 
 # -- policy -----------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
-    {"memtable_records": 0},
+    {"segment_capacity": 0},
     {"seal_age_s": 0.0},
     {"seal_age_s": -1.0},
     {"warm_fanin": 1},
@@ -54,14 +55,16 @@ SMALL = TierPolicy(memtable_records=16, warm_fanin=2,
     {"cold_fanin": 1},
 ])
 def test_policy_rejects_degenerate_values(kwargs):
+    capacity = kwargs.get("segment_capacity", SMALL_MEMTABLE)
+    policy = {k: v for k, v in kwargs.items() if k != "segment_capacity"}
     with pytest.raises(ValueError):
-        TierPolicy(**kwargs)
+        DataStore(segment_capacity=capacity, tiers=TierPolicy(**policy))
 
 
 # -- sealing ----------------------------------------------------------------
 
 def test_memtable_rolls_over_at_capacity():
-    store = TieredDataStore(policy=SMALL)
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL)
     store.ingest_packets(_batch(40))
     hot, warm, cold = store.tier_segments()
     assert len(hot) == 1 and len(hot[0]) == 8
@@ -71,7 +74,7 @@ def test_memtable_rolls_over_at_capacity():
 
 
 def test_seal_hot_sorts_by_time_then_rid():
-    store = TieredDataStore(policy=SMALL)
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL)
     # out-of-order timestamps, with ties
     pkts = [_packet(ts, i) for i, ts in enumerate([3.0, 1.0, 2.0, 1.0])]
     store.ingest_packets(pkts)
@@ -85,8 +88,8 @@ def test_seal_hot_sorts_by_time_then_rid():
 
 def test_age_based_seal_uses_injected_clock():
     clock = VirtualClock()
-    policy = TierPolicy(memtable_records=1000, seal_age_s=5.0)
-    store = TieredDataStore(policy=policy, clock=clock)
+    policy = TierPolicy(seal_age_s=5.0)
+    store = DataStore(segment_capacity=1000, tiers=policy, clock=clock)
     store.ingest_packets(_batch(3))
     assert not store.maybe_seal()
     clock.advance(6.0)
@@ -97,7 +100,7 @@ def test_age_based_seal_uses_injected_clock():
 
 
 def test_query_unaffected_by_seal_and_compaction():
-    store = TieredDataStore(policy=SMALL)
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL)
     flat = DataStore()
     for b in (_batch(30, 0.0), _batch(30, 5.0), _batch(30, 2.5)):
         store.ingest_packets(b)
@@ -115,7 +118,8 @@ def test_query_unaffected_by_seal_and_compaction():
 # -- cold format ------------------------------------------------------------
 
 def test_cold_round_trip_and_reopen(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(50))
     before = _dump(store)
     store.flush_to_cold()
@@ -123,12 +127,14 @@ def test_cold_round_trip_and_reopen(tmp_path):
     assert not warm and cold
     assert _dump(store) == before
 
-    reopened = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                         spill_dir=tmp_path / "cold")
     assert _dump(reopened) == before
 
 
 def test_cold_segment_reports_minmax_without_loading(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(20, t0=3.0))
     store.flush_to_cold()
     _, _, cold = store.tier_segments()
@@ -143,7 +149,8 @@ def test_cold_segment_reports_minmax_without_loading(tmp_path):
 
 
 def test_cold_segment_is_immutable(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(5))
     store.flush_to_cold()
     _, _, cold = store.tier_segments()
@@ -154,7 +161,8 @@ def test_cold_segment_is_immutable(tmp_path):
 
 
 def test_reopen_detects_corruption(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(20))
     store.flush_to_cold()
     victim = next((tmp_path / "cold").glob("seg-*/rids.npy"))
@@ -162,30 +170,35 @@ def test_reopen_detects_corruption(tmp_path):
     blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))
     with pytest.raises(PersistenceError, match="checksum mismatch"):
-        TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+        DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                  spill_dir=tmp_path / "cold")
 
 
 def test_reopen_clears_unregistered_debris(tmp_path):
     spill = tmp_path / "cold"
-    store = TieredDataStore(policy=SMALL, spill_dir=spill)
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=spill)
     store.ingest_packets(_batch(20))
     before = _dump(store)
     store.flush_to_cold()
     (spill / "seg-99999999.tmp-123").mkdir()
     (spill / "seg-99999999.tmp-123" / "junk.npy").write_bytes(b"x")
     (spill / "stray.txt").write_text("leftover")
-    reopened = TieredDataStore(policy=SMALL, spill_dir=spill)
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=spill)
     assert _dump(reopened) == before
     assert not (spill / "seg-99999999.tmp-123").exists()
     assert not (spill / "stray.txt").exists()
 
 
 def test_reopen_resumes_id_counters(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(20))
     store.flush_to_cold()
     max_rid = max(r[0] for r in _dump(store))
-    reopened = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                         spill_dir=tmp_path / "cold")
     reopened.ingest_packets(_batch(5, t0=50.0))
     rids = [r[0] for r in _dump(reopened)]
     assert len(rids) == len(set(rids))
@@ -216,11 +229,12 @@ def test_stats_json_round_trip():
 
 
 def test_cold_stats_survive_spill_and_prune(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold",
-                            stats_on_seal=True)
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold", stats_on_seal=True)
     store.ingest_packets(_batch(40))
     store.flush_to_cold()
-    reopened = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                         spill_dir=tmp_path / "cold")
     _, _, cold = reopened.tier_segments()
     assert all(s.stats() is not None for s in cold)
     answer = reopened.count_matching(
@@ -231,7 +245,8 @@ def test_cold_stats_survive_spill_and_prune(tmp_path):
 # -- compactor --------------------------------------------------------------
 
 def test_compactor_debt_ordering(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(80))
     store.seal_hot()
     kinds = [kind for kind, _ in store.compactor.debt()]
@@ -242,9 +257,10 @@ def test_compactor_debt_ordering(tmp_path):
 
 
 def test_compactor_spills_past_warm_cap(tmp_path):
-    policy = TierPolicy(memtable_records=8, warm_fanin=8,
-                        warm_max_segments=1, cold_fanin=2)
-    store = TieredDataStore(policy=policy, spill_dir=tmp_path / "cold")
+    policy = TierPolicy(warm_fanin=8, warm_max_segments=1,
+                        cold_fanin=2)
+    store = DataStore(segment_capacity=8, tiers=policy,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(40))
     before = _dump(store)
     done = store.compactor.run()
@@ -256,9 +272,10 @@ def test_compactor_spills_past_warm_cap(tmp_path):
 
 
 def test_cold_merge_combines_segments(tmp_path):
-    policy = TierPolicy(memtable_records=8, warm_fanin=8,
-                        warm_max_segments=1, cold_fanin=2)
-    store = TieredDataStore(policy=policy, spill_dir=tmp_path / "cold")
+    policy = TierPolicy(warm_fanin=8, warm_max_segments=1,
+                        cold_fanin=2)
+    store = DataStore(segment_capacity=8, tiers=policy,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(48, t0=0.0))
     before = _dump(store)
     done = store.compactor.run()
@@ -274,7 +291,8 @@ def test_cold_merge_combines_segments(tmp_path):
 
 
 def test_warm_merge_reuses_stats_blocks():
-    store = TieredDataStore(policy=SMALL, stats_on_seal=True)
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      stats_on_seal=True)
     store.ingest_packets(_batch(32))
     store.seal_hot()
     _, warm, _ = store.tier_segments()
@@ -289,7 +307,8 @@ def test_warm_merge_reuses_stats_blocks():
 # -- eviction ---------------------------------------------------------------
 
 def test_evict_cold_segment_removes_directory(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(20))
     store.flush_to_cold()
     _, _, cold = store.tier_segments()
@@ -299,14 +318,16 @@ def test_evict_cold_segment_removes_directory(tmp_path):
     registry = json.loads(
         (tmp_path / "cold" / "registry.json").read_text())
     assert victim.directory.name not in registry["segments"]
-    reopened = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                         spill_dir=tmp_path / "cold")
     assert len(_dump(reopened)) == len(_dump(store))
 
 
 def test_retention_handles_cold_segments(tmp_path):
     from repro.datastore.retention import RetentionPolicy
 
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(20, t0=0.0))
     store.flush_to_cold()
     store.ingest_packets(_batch(5, t0=100.0))
@@ -343,7 +364,8 @@ def test_streaming_ingestor_end_to_end(tmp_path):
     from repro.capture.engine import CaptureEngine
 
     engine = CaptureEngine()
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     ingestor = StreamingIngestor(store, engine=engine, queue_records=64)
     engine.ingest(_batch(50, t0=0.0))
     engine.ingest(_batch(50, t0=1.0))       # queue full: refused, accounted
@@ -363,8 +385,8 @@ def test_streaming_ingestor_end_to_end(tmp_path):
 
 def test_sharded_tiered_store_matches_flat(tmp_path):
     flat = DataStore()
-    store = TieredShardedDataStore(n_shards=4, policy=SMALL,
-                                   spill_dir=tmp_path / "shards")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, shards=4, tiers=SMALL,
+                      spill_dir=tmp_path / "shards")
     for b in (_batch(40, 0.0), _batch(40, 5.0)):
         flat.ingest_packets(b)
         store.ingest_packets(b)
@@ -372,16 +394,51 @@ def test_sharded_tiered_store_matches_flat(tmp_path):
     store.compactor.run()
     store.flush_to_cold()
     assert _dump(store) == _dump(flat)
-    reopened = TieredShardedDataStore(n_shards=4, policy=SMALL,
-                                      spill_dir=tmp_path / "shards")
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, shards=4,
+                         tiers=SMALL, spill_dir=tmp_path / "shards")
     assert _dump(reopened) == _dump(flat)
     reopened.ingest_packets(_batch(10, t0=20.0))
     rids = [r[0] for r in _dump(reopened)]
     assert len(rids) == len(set(rids))
 
 
+def test_reopen_reads_shard_count_from_disk(tmp_path):
+    spill = tmp_path / "shards"
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, shards=3,
+                      tiers=SMALL, spill_dir=spill)
+    store.ingest_packets(_batch(60))
+    store.flush_to_cold()
+    reopened = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                         spill_dir=spill)
+    assert reopened.n_shards == 3
+    assert _dump(reopened) == _dump(store)
+    for wrong in (1, 2):
+        with pytest.raises(ValueError, match="shard"):
+            DataStore(tiers=SMALL, spill_dir=spill, shards=wrong)
+    flat_spill = tmp_path / "flat"
+    flat = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                     spill_dir=flat_spill)
+    flat.ingest_packets(_batch(20))
+    flat.flush_to_cold()
+    with pytest.raises(ValueError, match="shard"):
+        DataStore(tiers=SMALL, spill_dir=flat_spill, shards=2)
+
+
+def test_spill_dir_needs_tiers(tmp_path):
+    with pytest.raises(ValueError, match="tiers"):
+        DataStore(spill_dir=tmp_path / "cold")
+
+
+def test_untiered_store_has_no_tier_summary_or_debt():
+    store = DataStore(segment_capacity=SMALL_MEMTABLE)
+    store.ingest_packets(_batch(40))
+    assert store.tier_summary() is None
+    assert store.compactor.debt() == []
+
+
 def test_tier_summary_shape(tmp_path):
-    store = TieredDataStore(policy=SMALL, spill_dir=tmp_path / "cold")
+    store = DataStore(segment_capacity=SMALL_MEMTABLE, tiers=SMALL,
+                      spill_dir=tmp_path / "cold")
     store.ingest_packets(_batch(40))
     summary = store.tier_summary()
     assert set(summary) == {"hot", "warm", "cold", "compaction_debt"}

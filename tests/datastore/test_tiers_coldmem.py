@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.datastore.tiers import TieredDataStore, TierPolicy
+from repro.datastore.store import DataStore
+from repro.datastore.tiers import TierPolicy
 from repro.netsim.packets import PacketRecord
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -28,12 +29,12 @@ N_RECORDS = 24_576
 PAYLOAD_BYTES = 8_192            # cold payload blob: ~192 MiB
 HEADROOM_BYTES = 96 << 20        # what the child may allocate on top
 
-POLICY = TierPolicy(memtable_records=8_192, warm_fanin=2,
-                    warm_max_segments=1, cold_fanin=3)
+POLICY = TierPolicy(warm_fanin=2, warm_max_segments=1, cold_fanin=3)
 
 
 def _build_big_cold_store(spill_dir: Path) -> None:
-    store = TieredDataStore(policy=POLICY, spill_dir=spill_dir)
+    store = DataStore(segment_capacity=8_192, tiers=POLICY,
+                      spill_dir=spill_dir)
     for start in range(0, N_RECORDS, 8_192):
         batch = [
             PacketRecord(
@@ -59,14 +60,15 @@ CHILD = textwrap.dedent("""
     import json, resource, sys
     sys.path.insert(0, sys.argv[1])
     from repro.datastore.query import Query
-    from repro.datastore.tiers import TieredDataStore, TierPolicy
+    from repro.datastore.store import DataStore
+    from repro.datastore.tiers import TierPolicy
 
     spill, headroom = sys.argv[2], int(sys.argv[3])
-    policy = TierPolicy(memtable_records=8192, warm_fanin=2,
-                        warm_max_segments=1, cold_fanin=3)
+    policy = TierPolicy(warm_fanin=2, warm_max_segments=1, cold_fanin=3)
     # open first: checksum verification may buffer, and the imports
     # above dominate the baseline heap we measure next.
-    store = TieredDataStore(policy=policy, spill_dir=spill)
+    store = DataStore(segment_capacity=8192, tiers=policy,
+                      spill_dir=spill)
 
     vmdata_kb = 0
     with open("/proc/self/status") as fh:

@@ -15,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datastore.query import Query
 from repro.datastore.store import DataStore
-from repro.datastore.tiers import (
-    TieredDataStore, TieredShardedDataStore, TierPolicy,
-)
+from repro.datastore.tiers import TierPolicy
 from repro.netsim.packets import PacketRecord
 
 WINDOW_S = 5.0
@@ -92,16 +90,11 @@ def _assert_identical(tiered, flat, query):
 )
 def test_interleaved_lifecycle_matches_flat_store(batches, n_shards,
                                                   memtable, spill, data):
-    policy = TierPolicy(memtable_records=memtable, warm_fanin=2,
-                        warm_max_segments=2, cold_fanin=2)
+    policy = TierPolicy(warm_fanin=2, warm_max_segments=2, cold_fanin=2)
     tmp = tempfile.mkdtemp(prefix="tiers-eq-") if spill else None
     try:
-        if n_shards == 1:
-            tiered = TieredDataStore(policy=policy, spill_dir=tmp)
-        else:
-            tiered = TieredShardedDataStore(
-                n_shards=n_shards, policy=policy, spill_dir=tmp,
-                window_s=WINDOW_S)
+        tiered = DataStore(segment_capacity=memtable, shards=n_shards,
+                           tiers=policy, spill_dir=tmp, window_s=WINDOW_S)
         flat = DataStore()
         for batch in batches:
             tiered.ingest_packets(batch)
@@ -139,16 +132,12 @@ def test_interleaved_lifecycle_matches_flat_store(batches, n_shards,
 )
 def test_flush_reopen_matches_flat_store(batches, n_shards):
     """Everything to cold, reopen from disk: still bit-identical."""
-    policy = TierPolicy(memtable_records=8, warm_fanin=2,
-                        warm_max_segments=1, cold_fanin=2)
+    policy = TierPolicy(warm_fanin=2, warm_max_segments=1, cold_fanin=2)
     tmp = tempfile.mkdtemp(prefix="tiers-re-")
     try:
         def build():
-            if n_shards == 1:
-                return TieredDataStore(policy=policy, spill_dir=tmp)
-            return TieredShardedDataStore(
-                n_shards=n_shards, policy=policy, spill_dir=tmp,
-                window_s=WINDOW_S)
+            return DataStore(segment_capacity=8, shards=n_shards,
+                             tiers=policy, spill_dir=tmp, window_s=WINDOW_S)
 
         tiered = build()
         flat = DataStore()

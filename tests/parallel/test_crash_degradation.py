@@ -12,7 +12,7 @@ import pytest
 from repro.chaos.faults import FaultKind, FaultPlan, FaultSpec
 from repro.chaos.resilience import DegradationLedger
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.store import DataStore
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
 from repro.parallel import ParallelExecutor, shm_available
@@ -46,7 +46,7 @@ def test_crash_mid_query_degrades_to_serial_with_same_answers():
 
     ledger = DegradationLedger()
     with _crash_executor(ledger) as ex:
-        sharded = ShardedDataStore(n_shards=4, executor=ex)
+        sharded = DataStore(shards=4, executor=ex)
         sharded.ingest_packets(PacketColumns.from_records(list(packets)))
         query = Query(collection="packets", where={"dst_port": 53},
                       order_by_time=True)
@@ -70,7 +70,7 @@ def test_crash_mid_featurize_degrades_to_serial_with_same_dataset():
 
     ledger = DegradationLedger()
     with _crash_executor(ledger) as ex:
-        sharded = ShardedDataStore(n_shards=4, executor=ex)
+        sharded = DataStore(shards=4, executor=ex)
         sharded.ingest_packets(PacketColumns.from_records(list(packets)))
         got = featurizer.from_store(sharded, executor=ex)
 
@@ -85,7 +85,7 @@ def test_crash_replay_is_deterministic():
     def run():
         ledger = DegradationLedger()
         with _crash_executor(ledger) as ex:
-            sharded = ShardedDataStore(n_shards=2, executor=ex)
+            sharded = DataStore(shards=2, executor=ex)
             sharded.ingest_packets(
                 PacketColumns.from_records(_packets(800)))
             sharded.query(Query(collection="packets", order_by_time=True))

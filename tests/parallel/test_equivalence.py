@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture.metadata import MetadataExtractor
 from repro.datastore.query import Query
-from repro.datastore.store import DataStore, ShardedDataStore
+from repro.datastore.store import DataStore
 from repro.learning.features import FeatureConfig, SourceWindowFeaturizer
 from repro.netsim.packets import PacketColumns, PacketRecord
 from repro.parallel import ParallelExecutor, shm_available
@@ -61,10 +61,10 @@ def _serial_store(packets):
     return store
 
 def _sharded_store(packets, n_shards, columnar, executor=None):
-    store = ShardedDataStore(n_shards=n_shards,
-                             metadata_extractor=MetadataExtractor(),
-                             segment_capacity=64, window_s=WINDOW_S,
-                             executor=executor)
+    store = DataStore(shards=n_shards,
+                      metadata_extractor=MetadataExtractor(),
+                      segment_capacity=64, window_s=WINDOW_S,
+                      executor=executor)
     batch = PacketColumns.from_records(list(packets)) if columnar \
         else list(packets)
     store.ingest_packets(batch)
