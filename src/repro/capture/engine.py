@@ -65,9 +65,12 @@ class CaptureStats:
 
     @property
     def byte_loss_rate(self) -> float:
+        """Byte-weighted :attr:`loss_rate`: capacity plus backpressure
+        drops over offered bytes."""
         if self.bytes_offered == 0:
             return 0.0
-        return self.bytes_dropped / self.bytes_offered
+        return (self.bytes_dropped + self.bytes_backpressure_dropped) \
+            / self.bytes_offered
 
     @property
     def fault_drop_rate(self) -> float:

@@ -20,6 +20,12 @@ WELL_KNOWN_SERVICES = {
     6379: "redis", 8080: "http-alt",
 }
 
+# Plain-int flag masks: ``int & TcpFlags.X`` dispatches to the enum's
+# Python-level ``__rand__``, which dominated per-packet assembly cost.
+_FIN = int(TcpFlags.FIN)
+_SYN = int(TcpFlags.SYN)
+_RST = int(TcpFlags.RST)
+
 
 @dataclass
 class FlowRecord:
@@ -85,49 +91,71 @@ class FlowAssembler:
         self._initiator: Dict[Tuple, str] = {}
         self.finished: List[FlowRecord] = []
 
-    def add_packet(self, packet: PacketRecord) -> None:
-        key = packet.five_tuple().canonical()
-        record = self._active.get(key)
-        if record is not None and (
-            packet.timestamp - record.last_seen > self.idle_timeout_s
-        ):
-            self.finished.append(record)
-            record = None
-        if record is None:
-            record = FlowRecord(
-                src_ip=packet.src_ip, dst_ip=packet.dst_ip,
-                src_port=packet.src_port, dst_port=packet.dst_port,
-                protocol=packet.protocol,
-                first_seen=packet.timestamp, last_seen=packet.timestamp,
-                label=packet.label, app_hint=packet.app,
-            )
-            self._active[key] = record
-            self._initiator[key] = packet.src_ip
-
-        forward = packet.src_ip == self._initiator[key]
-        if forward:
-            record.packets_fwd += 1
-            record.bytes_fwd += packet.size
-        else:
-            record.packets_rev += 1
-            record.bytes_rev += packet.size
-        record.last_seen = max(record.last_seen, packet.timestamp)
-        record.first_seen = min(record.first_seen, packet.timestamp)
-        record.min_ttl = min(record.min_ttl, packet.ttl)
-        if packet.flags & TcpFlags.SYN:
-            record.syn_count += 1
-        if packet.flags & TcpFlags.FIN:
-            record.fin_count += 1
-        if packet.flags & TcpFlags.RST:
-            record.rst_count += 1
-        if packet.label != "benign":
-            record.label = packet.label
-        if packet.flow_id not in record.flow_ids:
-            record.flow_ids.append(packet.flow_id)
-
     def add_packets(self, packets: Iterable[PacketRecord]) -> None:
+        """Fold a packet batch into the flow cache, in order.
+
+        The canonical key is computed once per distinct raw 5-tuple in
+        the batch, and flag bits are tested on plain ints.
+        """
+        active = self._active
+        initiator = self._initiator
+        idle_timeout_s = self.idle_timeout_s
+        keys: Dict[Tuple, Tuple] = {}
         for packet in packets:
-            self.add_packet(packet)
+            src_ip = packet.src_ip
+            src_port = packet.src_port
+            dst_ip = packet.dst_ip
+            dst_port = packet.dst_port
+            protocol = packet.protocol
+            raw = (src_ip, dst_ip, src_port, dst_port, protocol)
+            key = keys.get(raw)
+            if key is None:
+                a = (src_ip, src_port)
+                b = (dst_ip, dst_port)
+                key = keys[raw] = (a, b, protocol) if a <= b \
+                    else (b, a, protocol)
+            timestamp = packet.timestamp
+            record = active.get(key)
+            if record is not None and (
+                timestamp - record.last_seen > idle_timeout_s
+            ):
+                self.finished.append(record)
+                record = None
+            if record is None:
+                record = FlowRecord(
+                    src_ip=src_ip, dst_ip=dst_ip,
+                    src_port=src_port, dst_port=dst_port,
+                    protocol=protocol,
+                    first_seen=timestamp, last_seen=timestamp,
+                    label=packet.label, app_hint=packet.app,
+                )
+                active[key] = record
+                initiator[key] = src_ip
+
+            if src_ip == initiator[key]:
+                record.packets_fwd += 1
+                record.bytes_fwd += packet.size
+            else:
+                record.packets_rev += 1
+                record.bytes_rev += packet.size
+            # same results as max()/min(), without the builtin calls
+            if timestamp > record.last_seen:
+                record.last_seen = timestamp
+            if timestamp < record.first_seen:
+                record.first_seen = timestamp
+            if packet.ttl < record.min_ttl:
+                record.min_ttl = packet.ttl
+            flags = int(packet.flags)
+            if flags & _SYN:
+                record.syn_count += 1
+            if flags & _FIN:
+                record.fin_count += 1
+            if flags & _RST:
+                record.rst_count += 1
+            if packet.label != "benign":
+                record.label = packet.label
+            if packet.flow_id not in record.flow_ids:
+                record.flow_ids.append(packet.flow_id)
 
     def flush(self) -> List[FlowRecord]:
         """Close all active flows; returns the complete record list."""

@@ -45,8 +45,8 @@ class MetadataExtractor:
         tags are memoized per (protocol, direction, service) and the
         payload-derived tags per (payload fragment, dns-context), so
         each distinct combination is computed once and every packet gets
-        its own copy of the merged result.  Equivalent to
-        ``[extract(p) for p in packets]``, at a fraction of the cost.
+        its own copy of the merged result.  Equivalent to deriving each
+        packet's tags from scratch, at a fraction of the cost.
         """
         base_cache = self._base_cache
         payload_cache = self._payload_cache
@@ -175,43 +175,6 @@ class MetadataExtractor:
                 self._dept_cache.clear()
             self._dept_cache[internal_ip] = dept
         return dept
-
-    def extract(self, packet: PacketRecord) -> Dict[str, str]:
-        tags: Dict[str, str] = {
-            "proto": Protocol(packet.protocol).name.lower()
-            if packet.protocol in (1, 6, 17) else str(packet.protocol),
-            "direction": packet.direction,
-            "service": self._service(packet),
-        }
-        payload_tags = self._payload_tags(packet)
-        tags.update(payload_tags)
-        if self._topology is not None:
-            internal_ip = (
-                packet.dst_ip if packet.direction == "in" else packet.src_ip
-            )
-            node = self._topology.node_by_ip(internal_ip)
-            if node is not None:
-                dept = self._topology.department(node)
-                if dept:
-                    tags["department"] = dept
-        return tags
-
-    @staticmethod
-    def _service(packet: PacketRecord) -> str:
-        for port in sorted((packet.src_port, packet.dst_port)):
-            if port in WELL_KNOWN_SERVICES:
-                return WELL_KNOWN_SERVICES[port]
-        return "other"
-
-    def _payload_tags(self, packet: PacketRecord) -> Dict[str, str]:
-        payload = packet.payload
-        if not payload:
-            return {}
-        if packet.protocol == int(Protocol.UDP) and 53 in (
-            packet.src_port, packet.dst_port
-        ):
-            return self._dns_tags(payload)
-        return self._app_payload_tags(payload)
 
     @staticmethod
     def _app_payload_tags(payload: bytes) -> Dict[str, str]:

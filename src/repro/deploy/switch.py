@@ -3,9 +3,11 @@
 The switch closes the paper's fast control loop (Fig. 2) inside the
 simulated campus:
 
-* **sense** — every border packet updates count-min/Bloom summaries and
-  per-(window, external endpoint) counters, the same aggregation the
-  offline featurizer uses (so trained models transfer);
+* **sense** — each observer batch of border packets updates the
+  count-min/Bloom summaries in one batched update (identical to
+  per-packet updates) and the per-(window, external endpoint) counters,
+  the same aggregation the offline featurizer uses (so trained models
+  transfer);
 * **infer** — at each window boundary the compiled match-action table
   classifies every tracked endpoint;
 * **react** — verdicts whose table confidence clears the configured
@@ -172,26 +174,33 @@ class EmulatedSwitch:
                 (self.byte_sketch.depth, self.byte_sketch.width))
             self.byte_sketch._table[row, col] += delta
             self.register_corruptions += 1
+        self.packets_processed += len(packets)
+        # Sketches see every packet, tracked or not.  One observer batch
+        # is one flow, so it holds about one distinct endpoint and the
+        # batch updates hash each endpoint once instead of per packet.
+        endpoints = [packet.src_ip if packet.direction == "in"
+                     else packet.dst_ip for packet in packets]
+        self.byte_sketch.add_batch(endpoints,
+                                   [packet.size for packet in packets])
+        self.seen_filter.add_batch(endpoints)
         window_s = self.config.window_s
-        for packet in packets:
-            self.packets_processed += 1
-            if packet.direction == "in":
-                endpoint = packet.src_ip
-            else:
-                endpoint = packet.dst_ip
-            self.byte_sketch.add(endpoint, packet.size)
-            self.seen_filter.add(endpoint)
+        max_tracked_keys = self.config.max_tracked_keys
+        buckets = self._buckets
+        accumulate = self._featurizer._accumulate
+        for packet, endpoint, tags in zip(
+                packets, endpoints, self._metadata.extract_batch(packets)):
             window_start = math.floor(packet.timestamp / window_s) * window_s
-            bucket = self._buckets.setdefault(window_start, {})
+            bucket = buckets.get(window_start)
+            if bucket is None:
+                bucket = buckets[window_start] = {}
             example = bucket.get(endpoint)
             if example is None:
-                if len(bucket) >= self.config.max_tracked_keys:
+                if len(bucket) >= max_tracked_keys:
                     continue        # key table full: untracked this window
                 example = WindowExample(window_start=window_start,
                                         endpoint=endpoint)
                 bucket[endpoint] = example
-            tags = self._metadata.extract(packet)
-            self._featurizer._accumulate(example, packet, tags)
+            accumulate(example, packet, tags)
 
     # -- infer + react ---------------------------------------------------------
 

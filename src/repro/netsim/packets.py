@@ -51,6 +51,12 @@ class TcpFlags(enum.IntFlag):
     ACK = 0x10
 
 
+# Plain-int masks: ``int & TcpFlags.X`` runs the enum's Python-level
+# ``__rand__``, too slow for a per-packet test.
+_SYN = int(TcpFlags.SYN)
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+
+
 @dataclass(frozen=True)
 class FiveTuple:
     """Canonical flow key."""
@@ -123,7 +129,8 @@ class PacketRecord:
         )
 
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not bool(self.flags & TcpFlags.ACK)
+        """SYN set and ACK clear (a connection-opening segment)."""
+        return (int(self.flags) & _SYN_ACK) == _SYN
 
 
 def _spread_times(start: float, end: float, n: int) -> List[float]:

@@ -74,3 +74,14 @@ def test_byte_stats_accumulate():
     assert engine.stats.bytes_offered == 1500
     assert engine.stats.bytes_captured == 1500
     assert engine.stats.byte_loss_rate == 0.0
+
+
+def test_byte_loss_rate_counts_backpressure():
+    engine = CaptureEngine()
+    batch = [_packet(0.0, size=1000), _packet(0.1, size=500),
+             _packet(0.2, size=300)]
+    engine.ingest(batch)
+    engine.account_backpressure(batch[1:])     # queue refused 800 bytes
+    assert engine.stats.bytes_dropped == 0
+    assert engine.stats.byte_loss_rate == 800 / 1800
+    assert engine.stats.loss_rate == 2 / 3

@@ -13,6 +13,7 @@ from repro.netsim.traffic.payloads import (
     ssh_payload,
     tls_payload,
 )
+from tests.capture.metadata_oracle import OracleExtractor
 
 
 def _packet(payload, sport=40000, dport=443, proto=6, direction="out",
@@ -37,8 +38,8 @@ def extractor():
 
 def test_dns_query_tags(extractor):
     payload = dns_query_payload(_flow(), 0, "fwd")
-    tags = extractor.extract(_packet(payload, sport=40000, dport=53,
-                                     proto=17))
+    tags = extractor.extract_batch([_packet(payload, sport=40000, dport=53,
+                                            proto=17)])[0]
     assert tags["app_proto"] == "dns"
     assert tags["dns_qr"] == "query"
     assert "dns_qname" in tags
@@ -48,21 +49,21 @@ def test_dns_query_tags(extractor):
 def test_dns_any_response_tags(extractor):
     payload = dns_amplification_payload(_flow(), 0, "rev")
     # reversed direction: wire packet from resolver port 53
-    tags = extractor.extract(_packet(payload, sport=53, dport=40000,
-                                     proto=17, direction="in"))
+    tags = extractor.extract_batch([_packet(payload, sport=53, dport=40000,
+                                            proto=17, direction="in")])[0]
     assert tags["dns_qr"] == "response"
 
 
 def test_dns_any_query_qtype(extractor):
     payload = dns_amplification_payload(_flow(), 0, "fwd")
-    tags = extractor.extract(_packet(payload, sport=40000, dport=53,
-                                     proto=17))
+    tags = extractor.extract_batch([_packet(payload, sport=40000, dport=53,
+                                            proto=17)])[0]
     assert tags["dns_qtype"] == "ANY"
 
 
 def test_tls_sni(extractor):
     payload = tls_payload(_flow(), 0, "fwd")
-    tags = extractor.extract(_packet(payload))
+    tags = extractor.extract_batch([_packet(payload)])[0]
     assert tags["app_proto"] == "tls"
     assert tags["tls_record"] == "client_hello"
     assert "." in tags.get("tls_sni", "")
@@ -70,21 +71,21 @@ def test_tls_sni(extractor):
 
 def test_http_tags(extractor):
     payload = http_payload(_flow(), 0, "fwd")
-    tags = extractor.extract(_packet(payload, dport=80))
+    tags = extractor.extract_batch([_packet(payload, dport=80)])[0]
     assert tags["app_proto"] == "http"
     assert tags["http_method"] == "GET"
     assert "http_host" in tags
 
 
 def test_ssh_banner(extractor):
-    tags = extractor.extract(_packet(ssh_payload(_flow(), 0, "fwd"),
-                                     dport=22))
+    tags = extractor.extract_batch([_packet(ssh_payload(_flow(), 0, "fwd"),
+                                            dport=22)])[0]
     assert tags["app_proto"] == "ssh"
     assert tags["ssh_banner"].startswith("SSH-2.0")
 
 
 def test_empty_payload_basic_tags(extractor):
-    tags = extractor.extract(_packet(b""))
+    tags = extractor.extract_batch([_packet(b"")])[0]
     assert tags["proto"] == "tcp"
     assert tags["direction"] == "out"
     assert "app_proto" not in tags
@@ -95,12 +96,13 @@ def test_department_attribution():
     extractor = MetadataExtractor(net.topology)
     host = net.topology.hosts[0]
     ip = net.topology.ip(host)
-    tags = extractor.extract(_packet(b"", src=ip, direction="out"))
+    tags = extractor.extract_batch([_packet(b"", src=ip, direction="out")])[0]
     assert tags.get("department") == net.topology.department(host)
 
 
 class TestExtractBatch:
-    """Batch extraction must be observably identical to extract()."""
+    """Batch extraction must be observably identical to the uncached
+    per-packet oracle."""
 
     def _mixed_packets(self):
         flow = _flow()
@@ -119,8 +121,9 @@ class TestExtractBatch:
 
     def test_matches_sequential_extract(self, extractor):
         packets = self._mixed_packets()
+        oracle = OracleExtractor()
         assert extractor.extract_batch(packets) == \
-            [extractor.extract(p) for p in packets]
+            [oracle.extract(p) for p in packets]
 
     def test_with_topology_matches_sequential(self):
         net = make_campus("tiny", seed=1)
@@ -129,8 +132,9 @@ class TestExtractBatch:
         packets = [_packet(b"", src=ip, direction="out"),
                    _packet(b"", dst=ip, direction="in"),
                    _packet(b"")] * 2
+        oracle = OracleExtractor(net.topology)
         assert batch_extractor.extract_batch(packets) == \
-            [batch_extractor.extract(p) for p in packets]
+            [oracle.extract(p) for p in packets]
 
     def test_returned_dicts_are_independent(self, extractor):
         packets = [_packet(b""), _packet(b"")]

@@ -61,6 +61,20 @@ def test_tcp_flags_syn_and_fin():
         _finished_flow(protocol=17)))
 
 
+@pytest.mark.parametrize("bits", range(32))
+@pytest.mark.parametrize("as_enum", [False, True])
+def test_is_syn_matches_flag_formula(bits, as_enum):
+    flags = TcpFlags(bits) if as_enum else bits
+    packet = PacketRecord(
+        timestamp=0.0, src_ip="10.0.0.1", dst_ip="8.8.8.8", src_port=1234,
+        dst_port=443, protocol=6, size=40, payload_len=0, flags=flags,
+        ttl=64, payload=b"", flow_id=1, app="web", label="benign",
+        direction="out",
+    )
+    expected = bool(flags & TcpFlags.SYN) and not bool(flags & TcpFlags.ACK)
+    assert packet.is_syn() is expected
+
+
 def test_udp_has_no_flags_and_smaller_header():
     packets = synthesize_packets(_finished_flow(size=3000, protocol=17))
     assert all(p.flags == 0 for p in packets)
