@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,7 +55,9 @@ class TcpFlags(enum.IntFlag):
 # Plain-int masks: ``int & TcpFlags.X`` runs the enum's Python-level
 # ``__rand__``, too slow for a per-packet test.
 _SYN = int(TcpFlags.SYN)
+_ACK = int(TcpFlags.ACK)
 _SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+_FIN_ACK = int(TcpFlags.FIN | TcpFlags.ACK)
 
 
 @dataclass(frozen=True)
@@ -162,15 +165,23 @@ def synthesize_packets(
     max_packets:
         Safety cap per direction; very large flows are represented by
         proportionally larger packets so total bytes are preserved.
+
+    Each direction's constants (key fields, the body and last payload
+    lengths, the first/middle/last flags, wire direction) are computed
+    once; the per-packet work is one payload call and one record.
+    Records come back ordered by ``(timestamp, direction)``.
     """
     if flow.end_time is None:
         raise ValueError(f"flow {flow.flow_id} has not finished")
-    records: List[PacketRecord] = []
     proto = Protocol(flow.protocol)
+    protocol = int(proto)
     header = proto.header_bytes()
+    tcp = proto is Protocol.TCP
     if payload_fn is None:
         payload_fn = getattr(flow, "payload_fn", None)
+    ttl, flow_id, app, label = flow.ttl, flow.flow_id, flow.app, flow.label
 
+    runs: List[List[PacketRecord]] = []
     for direction, total_bytes, key in (
         ("fwd", flow.fwd_bytes, flow.key),
         ("rev", flow.rev_bytes, flow.key.reversed()),
@@ -182,49 +193,44 @@ def synthesize_packets(
         if n_packets > max_packets:
             scale = math.ceil(n_packets / max_packets)
             n_packets = math.ceil(n_packets / scale)
-        per_packet = total_bytes / n_packets
+        body_len = int(round(total_bytes / n_packets))
+        last_len = max(int(total_bytes - body_len * (n_packets - 1)), 0)
+        if tcp:
+            first_flags = _SYN if direction == "fwd" else _SYN_ACK
+            middle_flags, last_flags = _ACK, _FIN_ACK
+        else:
+            first_flags = middle_flags = last_flags = 0
         times = _spread_times(flow.start_time, flow.end_time, n_packets)
+        if payload_fn is None:
+            payloads = [b""] * n_packets
+        else:
+            payloads = [payload_fn(flow, i, direction)[:64]
+                        for i in range(n_packets)]
+        src_ip, dst_ip = key.src_ip, key.dst_ip
+        src_port, dst_port = key.src_port, key.dst_port
         wire_dir = flow.wire_direction(direction)
-        for i, ts in enumerate(times):
-            payload_len = int(round(per_packet))
-            if i == n_packets - 1:
-                payload_len = int(total_bytes - int(round(per_packet)) * (n_packets - 1))
-                payload_len = max(payload_len, 0)
-            flags = _flags_for(proto, i, n_packets, direction)
-            fragment = b""
-            if payload_fn is not None:
-                fragment = payload_fn(flow, i, direction)
-            records.append(
-                PacketRecord(
-                    timestamp=ts,
-                    src_ip=key.src_ip,
-                    dst_ip=key.dst_ip,
-                    src_port=key.src_port,
-                    dst_port=key.dst_port,
-                    protocol=int(proto),
-                    size=payload_len + header,
-                    payload_len=payload_len,
-                    flags=int(flags),
-                    ttl=flow.ttl,
-                    payload=fragment[:64],
-                    flow_id=flow.flow_id,
-                    app=flow.app,
-                    label=flow.label,
-                    direction=wire_dir,
-                )
-            )
-    records.sort(key=lambda r: (r.timestamp, r.direction))
+        body_size = body_len + header
+        run = [PacketRecord(ts, src_ip, dst_ip, src_port, dst_port,
+                            protocol, body_size, body_len, middle_flags,
+                            ttl, payload, flow_id, app, label, wire_dir)
+               for ts, payload in zip(times, payloads)]
+        last = run[-1]
+        last.size = last_len + header
+        last.payload_len = last_len
+        last.flags = last_flags
+        run[0].flags = first_flags
+        runs.append(run)
+
+    if len(runs) < 2:
+        return runs[0] if runs else []
+    # The two directions of a flow cross the border opposite ways and
+    # each run is already time-ordered, so a stable timestamp sort over
+    # the "in" run followed by the "out" run yields (timestamp,
+    # direction) order.
+    fwd, rev = runs
+    records = rev + fwd if fwd[0].direction == "out" else fwd + rev
+    records.sort(key=attrgetter("timestamp"))
     return records
-
-
-def _flags_for(proto: Protocol, index: int, total: int, direction: str) -> TcpFlags:
-    if proto is not Protocol.TCP:
-        return TcpFlags.NONE
-    if index == 0:
-        return TcpFlags.SYN if direction == "fwd" else TcpFlags.SYN | TcpFlags.ACK
-    if index == total - 1:
-        return TcpFlags.FIN | TcpFlags.ACK
-    return TcpFlags.ACK
 
 
 def total_wire_bytes(records: Sequence[PacketRecord]) -> int:

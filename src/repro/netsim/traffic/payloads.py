@@ -84,15 +84,19 @@ def dns_query_payload(flow, index: int, direction: str) -> bytes:
     return header + body
 
 
+#: the reflected query's name, encoded once (it never varies)
+_AMPLIFICATION_QNAME = encode_dns_qname("anydomain.example.com")
+
+
 def dns_amplification_payload(flow, index: int, direction: str) -> bytes:
     """ANY-query reflection: tiny spoofed query, huge response."""
     txid = (flow.flow_id + index) & 0xFFFF
-    qname = encode_dns_qname("anydomain.example.com")
     if direction == "fwd":
         header = struct.pack(">HHHHHH", txid, 0x0100, 1, 0, 0, 0)
-        return header + qname + struct.pack(">HH", 255, 1)  # QTYPE=ANY
+        return (header + _AMPLIFICATION_QNAME
+                + struct.pack(">HH", 255, 1))  # QTYPE=ANY
     header = struct.pack(">HHHHHH", txid, 0x8180, 1, 28, 0, 12)
-    return header + qname + _digest(flow.flow_id, index) * 2
+    return header + _AMPLIFICATION_QNAME + _digest(flow.flow_id, index) * 2
 
 
 def http_payload(flow, index: int, direction: str) -> bytes:

@@ -18,7 +18,6 @@ import hashlib
 import hmac
 import socket
 import struct
-from functools import lru_cache
 from typing import Dict
 
 
@@ -28,6 +27,10 @@ def _ip_to_int(ip: str) -> int:
 
 def _int_to_ip(value: int) -> str:
     return socket.inet_ntoa(struct.pack("!I", value & 0xFFFFFFFF))
+
+
+#: addresses the memo holds before it is cleared and refilled
+_CACHE_LIMIT = 1 << 18
 
 
 class CryptoPan:
@@ -44,7 +47,7 @@ class CryptoPan:
         if len(key) < 16:
             raise ValueError("CryptoPan key must be at least 16 bytes")
         self._key = bytes(key)
-        self._cache: Dict[int, int] = {}
+        self._cache: Dict[str, str] = {}
 
     def _prf_bit(self, prefix: int, length: int) -> int:
         """One pseudo-random bit for a ``length``-bit prefix value."""
@@ -53,9 +56,6 @@ class CryptoPan:
         return digest[0] & 1
 
     def _anonymize_int(self, addr: int) -> int:
-        cached = self._cache.get(addr)
-        if cached is not None:
-            return cached
         result = 0
         for i in range(32):
             # Plaintext prefix of length i (the top i bits).
@@ -63,12 +63,18 @@ class CryptoPan:
             flip = self._prf_bit(prefix, i)
             bit = (addr >> (31 - i)) & 1
             result = (result << 1) | (bit ^ flip)
-        self._cache[addr] = result
         return result
 
     def anonymize(self, ip: str) -> str:
-        """Anonymize one dotted-quad IPv4 address."""
-        return _int_to_ip(self._anonymize_int(_ip_to_int(ip)))
+        """Anonymize one dotted-quad IPv4 address (memoized by text)."""
+        cached = self._cache.get(ip)
+        if cached is not None:
+            return cached
+        result = _int_to_ip(self._anonymize_int(_ip_to_int(ip)))
+        if len(self._cache) >= _CACHE_LIMIT:
+            self._cache.clear()
+        self._cache[ip] = result
+        return result
 
     def shared_prefix_len(self, ip_a: str, ip_b: str) -> int:
         """Length of the common prefix of two addresses, in bits."""

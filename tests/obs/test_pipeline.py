@@ -93,13 +93,30 @@ class TestPlatformInstrumentation:
         platform, _ = _collect(PlatformConfig(
             campus_profile="tiny", obs_enabled=True))
         try:
-            # a residual predicate forces the record-at-a-time path
-            platform.store.query(Query(
-                collection="packets",
-                predicate=lambda r: r.record.size > 0))
+            # flows have no column block, so this query runs on the
+            # record-at-a-time path
+            platform.store.query(Query(collection="flows"))
             fallback = platform.obs.metrics.get(
                 "repro_store_query_seconds", path="fallback")
             assert fallback is not None and fallback.count >= 1
+        finally:
+            platform.close()
+
+    def test_labeler_emits_one_span_per_collection(self):
+        platform, _ = _collect(PlatformConfig(
+            campus_profile="tiny", obs_enabled=True))
+        try:
+            spans = platform.obs.tracer.spans
+            collect = next(s for s in spans if s.name == "capture.collect")
+            labels = [s for s in spans if s.name == "labels.label"]
+            assert [s.attrs["collection"] for s in labels] == \
+                ["packets", "flows", "logs"]
+            for span in labels:
+                assert span.parent_id == collect.span_id
+                assert span.attrs["rows"] == \
+                    platform.store.count(span.attrs["collection"])
+            report = platform.obs.report()
+            assert report.stage("labels").names == {"labels.label": 3}
         finally:
             platform.close()
 
